@@ -60,7 +60,7 @@ func runWorker(ctx context.Context, args []string) error {
 	simWorkers := fs.Int("sim-workers", 4, "local simulation farm width")
 	register := fs.String("register", "", "cwc-serve base URL to register with (heartbeats every ttl/3)")
 	advertise := fs.String("advertise", "", "dialable address to advertise when registering (default the listen address)")
-	inflight := fs.Int("inflight", 0, "in-flight trajectory cap to advertise (0 = server default)")
+	inflight := fs.Int("inflight", 0, "in-flight slab cap to advertise (0 = server default)")
 	maxJobs := fs.Int("max-jobs", 0, "maximum concurrent job connections served (0 = unlimited); excess connections are refused and rerouted by the master")
 	debugAddr := fs.String("debug-addr", "", "HTTP listen address for GET /metrics and /debug/pprof (empty = disabled)")
 	if err := fs.Parse(args); err != nil {

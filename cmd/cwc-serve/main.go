@@ -81,7 +81,7 @@ func run() error {
 		listen         = flag.String("listen", ":8080", "HTTP listen address")
 		simWorkers     = flag.Int("sim-workers", runtime.GOMAXPROCS(0), "local shared simulation pool width")
 		workers        = flag.String("workers", "", "comma-separated remote sim worker addresses (cwc-dist worker)")
-		workerInflight = flag.Int("worker-inflight", 8, "max trajectories in flight per remote worker")
+		workerInflight = flag.Int("worker-inflight", 8, "max slabs (one window of one trajectory each) in flight per remote worker")
 		workerTimeout  = flag.Duration("worker-timeout", 30*time.Second, "declare a silent remote worker dead after this long")
 		workerTTL      = flag.Duration("worker-ttl", 15*time.Second, "heartbeat window for dynamically registered workers")
 		statEngines    = flag.Int("stat-engines", runtime.GOMAXPROCS(0), "shared statistical engine farm width")

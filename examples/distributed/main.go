@@ -30,8 +30,9 @@ func main() {
 		}
 		addrs = append(addrs, l.Addr().String())
 		go func() {
-			_ = core.ServeSimWorker(ctx, l, 2, func(err error) {
-				log.Println("worker error:", err)
+			_ = core.ServeSimWorkerOpts(ctx, l, core.SimWorkerOptions{
+				SimWorkers: 2,
+				OnError:    func(err error) { log.Println("worker error:", err) },
 			})
 		}()
 	}

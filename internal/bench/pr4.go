@@ -93,7 +93,7 @@ func PR4() (*PR4Report, error) {
 		}
 		addrs[i] = l.Addr().String()
 		go func() {
-			_ = core.ServeSimWorkerWith(ctx, l, 2, pr3Resolver, nil)
+			_ = core.ServeSimWorkerOpts(ctx, l, core.SimWorkerOptions{SimWorkers: 2, Resolver: pr3Resolver})
 		}()
 	}
 	dist, st, err := measure(addrs)

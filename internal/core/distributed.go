@@ -85,113 +85,92 @@ func FactoryFor(ref ModelRef) (SimulatorFactory, error) {
 }
 
 // JobHeader opens a distributed job: everything a sim worker needs to
-// build and run its share of trajectories.
+// build and run slabs of its trajectories.
 type JobHeader struct {
 	Model    ModelRef
 	End      float64
 	Quantum  float64
 	Period   float64
 	BaseSeed int64
-	// CheckpointSamples > 0 asks the worker to piggyback an engine
-	// snapshot on the quantum that crosses each N-sample boundary
-	// (ResultMsg.Ckpt), so a durable master can advance its checkpoint
-	// ladder with remote progress. Zero disables shipping (masters
-	// without a store, and pre-checkpoint peers, send zero).
-	CheckpointSamples int
+	// Slab is the most samples one ResultMsg carries (one window of cuts,
+	// usually): a slab longer than this streams home in Slab-sized
+	// messages, the trajectory re-entering the worker's feedback queue in
+	// between so its siblings advance breadth-first. Values below 1 mean 1.
+	Slab int
 	// TraceID, when non-empty, is the master job's trace id: the worker
 	// records its per-job spans under it and ships them home in the
-	// trailer (WorkerTrailer.Spans). Empty disables worker-side tracing
-	// (pre-tracing masters send zero, and gob leaves it zero on old
-	// peers).
+	// trailer (WorkerTrailer.Spans). Empty disables worker-side tracing.
 	TraceID string
 }
 
 // WorkerMsg is the master→worker stream: a header first, then one message
-// per assigned trajectory. Assignments may keep arriving at any time while
-// the stream is open — the serve-side quantum scheduler requeues
-// trajectories from dead workers onto live streams mid-job.
+// per slab — the stateless unit of remote work. A slab is the pure function
+// (trajectory, engine snapshot, until) → (samples, engine snapshot): the
+// worker keeps nothing between slabs, so consecutive slabs of one
+// trajectory may run on different workers (or the master's local pool) and
+// a lost worker costs only the slabs it held.
 type WorkerMsg struct {
 	Header *JobHeader
 	Traj   int
+	// Snap is the sim.Task snapshot the slab resumes from; nil builds the
+	// trajectory from its seed (BaseSeed + Traj).
+	Snap []byte
+	// Until is the sample index the slab stops at (first index NOT
+	// simulated, modulo an SSA step that crosses it). Zero — and any slab
+	// over an engine that cannot snapshot — runs to the trajectory's end.
+	Until int
 }
 
 // WorkerTrailer closes the worker→master stream with per-worker totals.
 type WorkerTrailer struct {
-	Reactions uint64
+	Reactions uint64 // SSA steps executed on this worker
 	DeadTasks int
-	Tasks     int
+	Tasks     int // trajectories that finished on this worker
 	// Spans are the worker's spans for this job (recorded only when the
 	// header carried a TraceID); the master merges them into the owning
 	// job's trace so a cross-process job reads as one timeline.
 	Spans []obs.Span
 }
 
-// ResultMsg is the worker→master stream: one message per simulation
-// quantum, carrying the quantum's whole sample batch for one trajectory
-// (the per-sample cost of crossing the wire amortises by the quantum/τ
-// ratio, mirroring the shared-memory pool's batched collector hop). The
-// trajectory id plus the deterministic per-trajectory seeding is what lets
-// a master requeue a half-delivered trajectory elsewhere and deduplicate
-// the replayed prefix. TaskDone marks the trajectory's final quantum; a
-// trailer with per-worker totals ends the stream.
+// ResultMsg is the worker→master stream: one message per slab (or per
+// JobHeader.Slab samples of a longer one), carrying that stretch's
+// contiguous samples for one trajectory in a single gob message and a
+// single write. Start is the index of the first sample, which is all a
+// master needs to deduplicate: a message extends the trajectory iff it
+// starts at (or, for a replay from the seed, before) the frontier. A slab
+// that stopped at its Until ends with Snap, the engine snapshot the next
+// slab resumes from; one that finished the trajectory ends with TaskDone.
+// A trailer with per-worker totals ends the stream.
 type ResultMsg struct {
 	Traj    int
+	Start   int
 	Samples []sim.Sample
-	// TaskDone marks the trajectory complete; Dead and Steps qualify it.
+	Snap    []byte
+	// TaskDone marks the trajectory complete; Dead and Steps (the
+	// trajectory's cumulative SSA step count) qualify it.
 	TaskDone bool
 	Dead     bool
 	Steps    uint64
-	// ElapsedNs is the worker-measured service time of this quantum, which
-	// feeds the master's ETA model exactly like a local quantum would.
+	// Quanta is the number of simulation quanta behind this message and
+	// ElapsedNs their total worker-measured service time — what feeds the
+	// master's per-quantum instruments and ETA model.
+	Quanta    int
 	ElapsedNs int64
-	// Ckpt, when non-empty, is a sim.Task.Snapshot blob taken right
-	// after this quantum, with CkptNext the next sample index the
-	// restored task would emit (JobHeader.CheckpointSamples cadence).
-	// Requeue replays may duplicate checkpoints; they are idempotent.
-	Ckpt     []byte
-	CkptNext int
-	Trailer  *WorkerTrailer
+	Trailer   *WorkerTrailer
 }
 
 // ModelResolver maps a model reference to a simulator factory. Workers
 // default to FactoryFor; tests inject synthetic deterministic models.
 type ModelResolver func(ModelRef) (SimulatorFactory, error)
 
-// ServeSimWorker runs a sim-worker server on l: each connection carries
-// one job (header + trajectory assignments in, quantum batches + trailer
-// out). simWorkers is the local farm width (the worker host's cores). The
-// call blocks until ctx is cancelled.
-func ServeSimWorker(ctx context.Context, l net.Listener, simWorkers int, onError func(error)) error {
-	return ServeSimWorkerWith(ctx, l, simWorkers, FactoryFor, onError)
-}
-
-// ServeSimWorkerWith is ServeSimWorker with an injectable model resolver,
-// so a test cluster can run the same synthetic models as its master.
-func ServeSimWorkerWith(ctx context.Context, l net.Listener, simWorkers int, resolver ModelResolver, onError func(error)) error {
-	return ServeSimWorkerLimited(ctx, l, simWorkers, 0, resolver, onError)
-}
-
-// ServeSimWorkerLimited is ServeSimWorkerWith with worker-tier admission
-// control: at most maxJobs job connections are served concurrently (0 =
-// unlimited). An excess connection is refused immediately — the master's
-// remote scheduler treats the drop like any worker failure and reroutes
-// the job's quanta to the remaining workers or the local pool.
-func ServeSimWorkerLimited(ctx context.Context, l net.Listener, simWorkers, maxJobs int, resolver ModelResolver, onError func(error)) error {
-	return ServeSimWorkerOpts(ctx, l, SimWorkerOptions{
-		SimWorkers: simWorkers,
-		MaxJobs:    maxJobs,
-		Resolver:   resolver,
-		OnError:    onError,
-	})
-}
-
 // WorkerMetrics are the worker-process observability hooks: every field
 // is optional (nil = no-op), so an unconfigured worker pays a single nil
 // check per use.
 type WorkerMetrics struct {
-	// Quantum observes the service time of each simulation quantum.
+	// Quantum observes the service time of each simulation quantum (the
+	// per-slab mean, once per quantum of the slab).
 	Quantum *obs.Histogram
-	// Tasks counts trajectories completed by this worker.
+	// Tasks counts trajectories that finished on this worker.
 	Tasks *obs.Counter
 	// Jobs gauges the job streams currently being served.
 	Jobs *obs.Gauge
@@ -214,8 +193,11 @@ type SimWorkerOptions struct {
 	Metrics WorkerMetrics
 }
 
-// ServeSimWorkerOpts runs a sim-worker server on l with the full option
-// set. The call blocks until ctx is cancelled.
+// ServeSimWorkerOpts runs a sim-worker server on l: each connection carries
+// one job (header + slabs in, sample messages + trailer out). At most
+// opts.MaxJobs job connections are served at once; an excess connection is
+// refused immediately, which a master treats like any worker failure. The
+// call blocks until ctx is cancelled.
 func ServeSimWorkerOpts(ctx context.Context, l net.Listener, opts SimWorkerOptions) error {
 	if opts.Resolver == nil {
 		opts.Resolver = FactoryFor
@@ -233,18 +215,22 @@ func ServeSimWorkerOpts(ctx context.Context, l net.Listener, opts SimWorkerOptio
 	}, opts.OnError)
 }
 
-// workerDelivery is one quantum's result inside the worker process, on its
-// way from the local simulation farm to the connection's collector (which
-// serialises it as a ResultMsg and recycles the batch).
-type workerDelivery struct {
-	traj     int
-	batch    *sim.Batch
-	done     bool
-	dead     bool
-	steps    uint64
-	elapsed  time.Duration
-	ckpt     []byte
-	ckptNext int
+// slab is one WorkerMsg riding the worker's farm. task is bound on the
+// slab's first visit to a farm worker and travels with it through the
+// feedback queue until the slab's last message is out.
+type slab struct {
+	traj  int
+	snap  []byte
+	until int
+	task  *sim.Task
+}
+
+// slabResult is one stretch of a slab inside the worker process, on its way
+// from the farm to the connection's collector (which serialises it as a
+// ResultMsg and recycles the batch).
+type slabResult struct {
+	msg   ResultMsg
+	batch *sim.Batch
 }
 
 func handleJob(ctx context.Context, conn net.Conn, opts SimWorkerOptions) error {
@@ -273,8 +259,10 @@ func handleJob(ctx context.Context, conn net.Conn, opts SimWorkerOptions) error 
 
 	// The worker-side structure is the same simulation farm as the
 	// shared-memory version; only the endpoints differ (dff streams
-	// instead of channels).
-	source := ff.Source[*sim.Task](func(ctx context.Context, emit ff.Emit[*sim.Task]) error {
+	// instead of channels) and the feedback unit is a message's worth of
+	// samples instead of a quantum. A slab no longer than hdr.Slab never
+	// feeds back: the farm is then a plain farm of pure functions.
+	source := ff.Source[*slab](func(ctx context.Context, emit ff.Emit[*slab]) error {
 		for {
 			msg, ok, err := in.Recv()
 			if err != nil {
@@ -286,80 +274,97 @@ func handleJob(ctx context.Context, conn net.Conn, opts SimWorkerOptions) error 
 			if msg.Header != nil {
 				return errors.New("core: duplicate job header")
 			}
-			s, err := factory(msg.Traj, hdr.BaseSeed+int64(msg.Traj))
-			if err != nil {
-				return err
-			}
-			task, err := sim.NewTask(msg.Traj, s, hdr.End, hdr.Quantum, hdr.Period)
-			if err != nil {
-				return err
-			}
-			tasks.Add(1)
-			if err := emit(task); err != nil {
+			if err := emit(&slab{traj: msg.Traj, snap: msg.Snap, until: msg.Until}); err != nil {
 				return err
 			}
 		}
 	})
-	farm := ff.NewFarmFeedback(opts.SimWorkers, func(int) ff.FeedbackWorker[*sim.Task, workerDelivery] {
-		var fb *sim.Task // per-worker feedback cell, read before the next DoStep
-		return ff.FeedbackWorkerFunc[*sim.Task, workerDelivery](func(_ context.Context, task *sim.Task, emit ff.Emit[workerDelivery]) (**sim.Task, error) {
-			start := time.Now()
-			idxBefore := task.NextIndex()
-			b := sim.GetBatch()
-			if err := task.RunQuantumBatch(b); err != nil {
-				b.Release()
-				return nil, err
-			}
-			d := workerDelivery{traj: task.Traj, batch: b, elapsed: time.Since(start)}
-			opts.Metrics.Quantum.Observe(d.elapsed)
-			if len(b.Samples) == 0 {
-				b.Release()
-				d.batch = nil
-			}
-			// Checkpoint shipping: snapshot on the quantum that crossed
-			// an N-sample boundary. The cadence is stateless — derived
-			// from sample indices alone — so a trajectory requeued to
-			// another worker keeps the same checkpoint schedule.
-			if n := hdr.CheckpointSamples; n > 0 && !task.Done() && idxBefore/n != task.NextIndex()/n {
-				if data, ok, err := task.Snapshot(); err == nil && ok {
-					d.ckpt, d.ckptNext = data, task.NextIndex()
+	farm := ff.NewFarmFeedback(opts.SimWorkers, func(int) ff.FeedbackWorker[*slab, slabResult] {
+		var fb *slab // per-worker feedback cell, read before the next DoStep
+		// spare is the task (engine included) the last slab left behind:
+		// the next snapshot-carrying slab restores into it instead of
+		// building an engine.
+		var spare *sim.Task
+		return ff.FeedbackWorkerFunc[*slab, slabResult](func(_ context.Context, s *slab, emit ff.Emit[slabResult]) (**slab, error) {
+			if s.task == nil {
+				if s.snap != nil && spare != nil {
+					s.task, spare = spare, nil
+					s.task.Traj = s.traj
+				} else {
+					eng, err := factory(s.traj, hdr.BaseSeed+int64(s.traj))
+					if err != nil {
+						return nil, err
+					}
+					if s.task, err = sim.NewTask(s.traj, eng, hdr.End, hdr.Quantum, hdr.Period); err != nil {
+						return nil, err
+					}
+				}
+				if s.snap != nil {
+					if err := s.task.Restore(s.snap); err != nil {
+						return nil, fmt.Errorf("core: trajectory %d: %w", s.traj, err)
+					}
+					s.snap = nil
+				}
+				if s.until <= 0 || s.until > s.task.NumSamples() {
+					s.until = s.task.NumSamples()
 				}
 			}
-			if task.Done() {
-				d.done, d.dead, d.steps = true, task.Dead(), task.Steps()
-				reactions.Add(task.Steps())
+			t := s.task
+			r := slabResult{msg: ResultMsg{Traj: s.traj, Start: t.NextIndex()}, batch: sim.GetBatch()}
+			stop := min(s.until, t.NextIndex()+max(hdr.Slab, 1))
+			stepsBefore := t.Steps()
+			begin := time.Now()
+			for !t.Done() && t.NextIndex() < stop {
+				if err := t.RunQuantumBatch(r.batch); err != nil {
+					r.batch.Release()
+					return nil, err
+				}
+				r.msg.Quanta++
+			}
+			elapsed := time.Since(begin)
+			r.msg.ElapsedNs = int64(elapsed)
+			if r.msg.Quanta > 0 {
+				opts.Metrics.Quantum.ObserveN(elapsed/time.Duration(r.msg.Quanta), r.msg.Quanta)
+			}
+			reactions.Add(t.Steps() - stepsBefore)
+			switch {
+			case t.Done():
+				r.msg.TaskDone, r.msg.Dead, r.msg.Steps = true, t.Dead(), t.Steps()
+				tasks.Add(1)
 				opts.Metrics.Tasks.Inc()
-				if task.Dead() {
+				if t.Dead() {
 					deadTasks.Add(1)
 				}
-				return nil, emit(d)
+			case t.NextIndex() >= s.until:
+				snap, ok, err := t.Snapshot()
+				if err != nil {
+					r.batch.Release()
+					return nil, err
+				}
+				if !ok {
+					// The engine cannot hand its state back: the
+					// trajectory stays here to its end.
+					s.until = t.NumSamples()
+				}
+				r.msg.Snap = snap
 			}
-			if err := emit(d); err != nil {
+			if err := emit(r); err != nil {
 				return nil, err
 			}
-			fb = task
+			if r.msg.TaskDone || r.msg.Snap != nil {
+				spare, s.task = t, nil
+				return nil, nil
+			}
+			fb = s
 			return &fb, nil
 		})
 	})
-	err = ff.Run(ctx, source, ff.Node[*sim.Task, workerDelivery](farm), func(d workerDelivery) error {
-		msg := ResultMsg{
-			Traj:      d.traj,
-			TaskDone:  d.done,
-			Dead:      d.dead,
-			Steps:     d.steps,
-			ElapsedNs: int64(d.elapsed),
-			Ckpt:      d.ckpt,
-			CkptNext:  d.ckptNext,
-		}
-		if d.batch != nil {
-			// The samples alias the batch arena; gob copies them during
-			// Encode, so the batch recycles the moment Send returns.
-			msg.Samples = d.batch.Samples
-		}
-		err := out.Send(msg)
-		if d.batch != nil {
-			d.batch.Release()
-		}
+	err = ff.Run(ctx, source, ff.Node[*slab, slabResult](farm), func(r slabResult) error {
+		// The samples alias the batch arena; gob copies them during Encode,
+		// so the batch recycles the moment Send returns.
+		r.msg.Samples = r.batch.Samples
+		err := out.Send(r.msg)
+		r.batch.Release()
 		return err
 	})
 	if err != nil {
@@ -371,15 +376,15 @@ func handleJob(ctx context.Context, conn net.Conn, opts SimWorkerOptions) error 
 		Tasks:     int(tasks.Load()),
 	}
 	if hdr.TraceID != "" {
-		// One lifecycle span per worker stream, not per quantum: it rides
-		// the trailer home and merges into the owning job's trace.
+		// One lifecycle span per worker stream, not per slab: it rides the
+		// trailer home and merges into the owning job's trace.
 		trailer.Spans = []obs.Span{{
 			Trace:  hdr.TraceID,
 			Name:   "worker-stream",
 			Origin: opts.Origin,
 			Start:  streamStart.UnixNano(),
 			End:    time.Now().UnixNano(),
-			Detail: fmt.Sprintf("tasks=%d reactions=%d", tasks.Load(), reactions.Load()),
+			Detail: fmt.Sprintf("tasks=%d reactions=%d", trailer.Tasks, trailer.Reactions),
 		}}
 	}
 	if err := out.Send(ResultMsg{Trailer: &trailer}); err != nil {
@@ -455,13 +460,15 @@ func RunDistributed(ctx context.Context, cfg Config, model ModelRef, workerAddrs
 		Quantum:  cfg.Quantum,
 		Period:   cfg.Period,
 		BaseSeed: cfg.BaseSeed,
+		Slab:     cfg.WindowSize,
 	}
 
 	var reactions atomic.Uint64
 	var deadTasks atomic.Int64
 	g := ff.NewGroup(ctx)
 
-	// Task distribution: header to every worker, trajectories round-robin.
+	// Task distribution: header to every worker, then one run-to-the-end
+	// slab per trajectory (Until zero), round-robin.
 	g.Go(func(ctx context.Context) error {
 		for _, p := range peers {
 			if err := p.out.Send(WorkerMsg{Header: &hdr}); err != nil {
@@ -483,8 +490,10 @@ func RunDistributed(ctx context.Context, cfg Config, model ModelRef, workerAddrs
 	})
 
 	// Sample merge: one drainer per worker into a shared channel. Each
-	// ResultMsg carries one quantum's batch of samples for one trajectory.
-	merged := make(chan sim.Sample, 64)
+	// ResultMsg carries up to a window of samples for one trajectory, which
+	// travels on as one pooled batch (the analysis pipeline recycles it
+	// after alignment). The buffer rides out bursts across workers.
+	merged := make(chan *sim.Batch, 64)
 	drainers := ff.NewGroup(g.Context())
 	for _, p := range peers {
 		drainers.Go(func(ctx context.Context) error {
@@ -506,13 +515,16 @@ func RunDistributed(ctx context.Context, cfg Config, model ModelRef, workerAddrs
 					deadTasks.Add(int64(msg.Trailer.DeadTasks))
 					continue
 				}
-				for _, s := range msg.Samples {
-					select {
-					case merged <- s:
-						samples.Add(1)
-					case <-ctx.Done():
-						return ctx.Err()
-					}
+				if len(msg.Samples) == 0 {
+					continue
+				}
+				b := sim.BatchOf(msg.Samples)
+				samples.Add(int64(len(msg.Samples)))
+				select {
+				case merged <- b:
+				case <-ctx.Done():
+					b.Release()
+					return ctx.Err()
 				}
 			}
 		})
@@ -526,33 +538,14 @@ func RunDistributed(ctx context.Context, cfg Config, model ModelRef, workerAddrs
 	analysis := analysisPipeline(cfg, species, &cutsEmitted)
 	windows := 0
 	g.Go(func(ctx context.Context) error {
-		// Re-batch the per-sample wire stream into pooled batches for the
-		// analysis pipeline (which recycles them after alignment): block
-		// for one sample, then greedily drain whatever else has already
-		// arrived, so the pool round-trip amortises over the burst.
-		const maxBatch = 256
 		source := ff.Source[*sim.Batch](func(ctx context.Context, emit ff.Emit[*sim.Batch]) error {
 			for {
 				select {
 				case <-ctx.Done():
 					return ctx.Err()
-				case s, ok := <-merged:
+				case b, ok := <-merged:
 					if !ok {
 						return nil
-					}
-					b := sim.GetBatch()
-					b.Append(s)
-				drain:
-					for len(b.Samples) < maxBatch {
-						select {
-						case s2, ok := <-merged:
-							if !ok {
-								break drain // outer loop sees the close
-							}
-							b.Append(s2)
-						default:
-							break drain
-						}
 					}
 					if err := emit(b); err != nil {
 						return err

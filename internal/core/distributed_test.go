@@ -22,10 +22,11 @@ func startWorkers(t *testing.T, ctx context.Context, n, simWorkers int) []string
 		addrs[i] = l.Addr().String()
 		go func() {
 			// Context cancellation is the expected shutdown path.
-			_ = ServeSimWorker(ctx, l, simWorkers, func(err error) {
+			_ = ServeSimWorkerOpts(ctx, l, SimWorkerOptions{
+				SimWorkers: simWorkers,
 				// Job handler errors after master disconnect are expected
 				// during teardown; real failures surface on the master.
-				t.Logf("worker: %v", err)
+				OnError: func(err error) { t.Logf("worker: %v", err) },
 			})
 		}()
 	}

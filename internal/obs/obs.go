@@ -103,8 +103,13 @@ type Histogram struct {
 
 // Observe records one duration. Negative durations count as zero. Safe
 // on a nil receiver.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of duration d at the cost of one — how
+// a batched report ("n quanta, this long on average") lands in a
+// per-operation histogram without a loop. n < 1 records nothing.
+func (h *Histogram) ObserveN(d time.Duration, n int) {
+	if h == nil || n < 1 {
 		return
 	}
 	ns := int64(d)
@@ -115,8 +120,8 @@ func (h *Histogram) Observe(d time.Duration) {
 	if idx > histBuckets {
 		idx = histBuckets
 	}
-	h.buckets[idx].Add(1)
-	h.sumNs.Add(uint64(ns))
+	h.buckets[idx].Add(uint64(n))
+	h.sumNs.Add(uint64(ns) * uint64(n))
 }
 
 // Snapshot returns the per-bucket counts (overflow last), the total

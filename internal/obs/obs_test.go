@@ -29,6 +29,7 @@ func TestMetricsAllocationFree(t *testing.T) {
 		{"gauge_set", func() { g.Set(7) }},
 		{"gauge_add", func() { g.Add(-2) }},
 		{"histogram_observe", func() { h.Observe(123 * time.Microsecond) }},
+		{"histogram_observe_n", func() { h.ObserveN(37*time.Microsecond, 16) }},
 		{"vec_child_inc", func() { child.Inc() }},
 		{"nil_counter", func() { (*Counter)(nil).Inc() }},
 		{"nil_histogram", func() { (*Histogram)(nil).Observe(time.Second) }},
@@ -90,6 +91,27 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 				t.Errorf("test-case self-check: bits.Len64(%d)=%d != %d", tc.d, l, tc.want)
 			}
 		}
+	}
+}
+
+// TestHistogramObserveN: n observations in one call must leave the
+// histogram exactly as n single Observe calls would, and n < 1 (or a nil
+// receiver) must leave it untouched.
+func TestHistogramObserveN(t *testing.T) {
+	var batched, looped Histogram
+	for _, d := range []time.Duration{0, 1, 37 * time.Microsecond, time.Duration(1) << 40} {
+		batched.ObserveN(d, 16)
+		for i := 0; i < 16; i++ {
+			looped.Observe(d)
+		}
+	}
+	batched.ObserveN(time.Second, 0)
+	batched.ObserveN(time.Second, -3)
+	(*Histogram)(nil).ObserveN(time.Second, 4)
+	gb, gc, gs := batched.Snapshot()
+	wb, wc, ws := looped.Snapshot()
+	if gb != wb || gc != wc || gs != ws {
+		t.Fatalf("ObserveN diverged from repeated Observe: count %d/%d sum %d/%d buckets %v / %v", gc, wc, gs, ws, gb, wb)
 	}
 }
 

@@ -104,10 +104,11 @@ type Progress struct {
 	DeferredQuanta int64  `json:"deferred_quanta,omitempty"`
 	StatsInFlight  int    `json:"stats_in_flight,omitempty"`
 	SpilledBatches int64  `json:"spilled_batches,omitempty"`
-	// RemoteTasksDone counts trajectories completed on remote sim workers;
-	// RequeuedTasks counts trajectories rescheduled off a dead or
-	// timed-out worker (each re-run deduplicates its replayed prefix, so
-	// requeues never change the result stream).
+	// RemoteTasksDone counts trajectories whose final slab ran on a remote
+	// sim worker; RequeuedTasks counts slabs rescheduled off a dead or
+	// timed-out worker (a re-run resumes from the trajectory's last
+	// snapshot, or deduplicates its replayed prefix, so requeues never
+	// change the result stream).
 	RemoteTasksDone int64 `json:"remote_tasks_done,omitempty"`
 	RequeuedTasks   int64 `json:"requeued_tasks,omitempty"`
 }
@@ -256,8 +257,8 @@ type Job struct {
 	statSlots chan struct{}
 
 	deferred   atomic.Int64 // quanta the pool deferred due to congestion
-	remoteDone atomic.Int64 // trajectories completed on remote workers
-	requeued   atomic.Int64 // trajectories requeued off dead workers
+	remoteDone atomic.Int64 // trajectories whose final slab ran on a remote worker
+	requeued   atomic.Int64 // slabs requeued off dead workers
 
 	// Durability (all nil/zero when the server runs without a store).
 	// persist journals published windows, trajectory checkpoints and the
@@ -281,10 +282,9 @@ type Job struct {
 	// before the lease is released with a pointer to it.
 	drainCkpt atomic.Bool
 
-	// sched, when non-nil, is the job's remote quantum scheduler: every
-	// delivery passes through its dedup filter and terminal transitions
-	// stop it. Set once at submission, before any task can produce a
-	// delivery.
+	// sched, when non-nil, is the job's slab scheduler: every delivery
+	// passes through its dedup filter and terminal transitions stop it.
+	// Set once at submission, before any task can produce a delivery.
 	sched atomic.Pointer[remoteJob]
 
 	mu          sync.Mutex
@@ -466,18 +466,18 @@ func (j *Job) durableWindows() int {
 	return j.windows
 }
 
-// remoteCheckpoint journals an engine snapshot shipped by a remote
-// worker (ResultMsg.Ckpt), advancing the durable frontier with remote
-// progress exactly like a local checkpoint would. Requeue replays can
-// redeliver a checkpoint; the per-trajectory high-water mark skips
-// duplicates and stale snapshots.
+// remoteCheckpoint journals the engine snapshot a remote slab ended with
+// (ResultMsg.Snap), advancing the durable frontier with remote progress
+// at the same ckptEvery cadence a local checkpoint follows. A duplicated
+// delivery can offer a snapshot twice; the per-trajectory high-water mark
+// skips duplicates and stale snapshots.
 func (j *Job) remoteCheckpoint(traj, next int, data []byte) {
 	if j.persist == nil || j.noPersist.Load() {
 		return
 	}
 	j.mu.Lock()
 	last, seen := j.lastCkpt[traj]
-	if seen && next <= last {
+	if seen && next-last < j.ckptEvery && !(j.drainCkpt.Load() && next > last) {
 		j.mu.Unlock()
 		return
 	}
@@ -593,9 +593,11 @@ func (j *Job) accept(_ context.Context, d delivery) error {
 			d.batch = nil
 		}
 	}
-	if rj := j.sched.Load(); rj != nil {
-		// Dedup for requeued trajectories: drop the replayed sample prefix
-		// and duplicate completion markers before any accounting.
+	rj := j.sched.Load()
+	if rj != nil {
+		// Dedup for replayed slabs: drop the samples below the
+		// trajectory's frontier and duplicate completion markers before
+		// any accounting.
 		rj.filter(&d)
 	}
 	if d.err != nil {
@@ -613,7 +615,11 @@ func (j *Job) accept(_ context.Context, d delivery) error {
 		}
 	}
 	j.mu.Lock()
-	if d.elapsed > 0 {
+	if n := d.quanta; n > 1 {
+		// A remote slab reports many quanta at once: one observation per
+		// quantum keeps the ETA model's dispersion honest.
+		j.quantum.AddN(d.elapsed.Seconds()/float64(n), int64(n))
+	} else if d.elapsed > 0 {
 		j.quantum.Add(d.elapsed.Seconds())
 	}
 	var closeStream bool
@@ -628,6 +634,12 @@ func (j *Job) accept(_ context.Context, d delivery) error {
 	j.mu.Unlock()
 	if closeStream {
 		j.in.close()
+	}
+	if rj != nil && d.slabEnd {
+		// Only now, with the slab's last samples in the ingress, may the
+		// trajectory's next slab be granted (possibly to another site):
+		// per-trajectory sample order into the windower is preserved.
+		rj.localSlabEnd(d.traj)
 	}
 	return nil
 }

@@ -35,8 +35,8 @@ type serveMetrics struct {
 	admissionWait *obs.Histogram // tenant admission queue: enqueue → dispatch
 	schedWait     *obs.Histogram // pool scheduler queue: push → pop-to-dispatch
 	localQuantum  *obs.Histogram // local pool quantum-batch execution
-	remoteQuantum *obs.Histogram // remote quantum-batch execution (worker-reported)
-	remoteRTT     *obs.Histogram // remote round trip: assign → result delivery
+	remoteQuantum *obs.Histogram // remote quantum-batch execution (worker-reported per-slab mean)
+	remoteRTT     *obs.Histogram // remote round trip: slab grant → result delivery
 	ingressWait   *obs.Histogram // ingress-ring residency: collector push → windower pop
 	analyse       *obs.Histogram // stat-farm window analysis
 	reorderWait   *obs.Histogram // reorder buffer: analysis done → in-order publish
@@ -46,7 +46,7 @@ type serveMetrics struct {
 	quantaRemote *obs.Counter
 	deferred     *obs.Counter // quanta parked by congestion deferral
 	spilled      *obs.Counter // batches spilled from a hard-bounded ingress ring
-	requeued     *obs.Counter // trajectories requeued off dead/timed-out workers
+	requeued     *obs.Counter // slabs requeued off dead/timed-out workers
 	windows      *obs.Counter // windows published in order
 	spansDropped *obs.Counter // trace spans discarded at the per-job cap
 
@@ -84,7 +84,7 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	m.remoteQuantum = reg.Histogram("cwc_quantum_seconds",
 		"Quantum-batch execution time by site.", "site", "remote")
 	m.remoteRTT = reg.Histogram("cwc_remote_rtt_seconds",
-		"Remote quantum round trip: assignment to result delivery at the owner.")
+		"Remote slab round trip: grant to result delivery at the owner.")
 	m.ingressWait = reg.Histogram("cwc_ingress_wait_seconds",
 		"Sample-batch residency in the per-job ingress ring between collector and windower.")
 	m.analyse = reg.Histogram("cwc_analyse_seconds",
@@ -101,7 +101,7 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	m.spilled = reg.Counter("cwc_spilled_batches_total",
 		"Sample batches spilled from a hard-bounded ingress ring (fails the job).")
 	m.requeued = reg.Counter("cwc_requeued_tasks_total",
-		"Trajectories requeued off dead or timed-out remote workers.")
+		"Slabs requeued off dead or timed-out remote workers.")
 	m.windows = reg.Counter("cwc_windows_published_total",
 		"Windows published in order across all jobs.")
 	m.spansDropped = reg.Counter("cwc_trace_dropped_spans_total",

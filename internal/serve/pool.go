@@ -42,14 +42,18 @@ type Pool struct {
 	err    error
 }
 
-// poolTask is one job's trajectory task riding the shared farm. enq is
-// the scheduler-queue entry stamp (unix nanoseconds), written by the
-// timedQueue decorator on push and consumed on pop for the sched-wait
-// histogram; zero for tasks that bypassed the queue.
+// poolTask is one job's trajectory task riding the shared farm. until,
+// when positive, ends the task's stay at that sample index: it is one slab
+// of a sharded job (see remoteJob), which leaves the feedback loop there
+// instead of running to the trajectory's end. enq is the scheduler-queue
+// entry stamp (unix nanoseconds), written by the timedQueue decorator on
+// push and consumed on pop for the sched-wait histogram; zero for tasks
+// that bypassed the queue.
 type poolTask struct {
-	job  *Job
-	task *sim.Task
-	enq  int64
+	job   *Job
+	task  *sim.Task
+	until int
+	enq   int64
 }
 
 // delivery is one message from a pool worker to the routing collector: a
@@ -60,10 +64,14 @@ type poolTask struct {
 // pool. Simulator failures travel here too — returning them from the
 // worker would tear down the shared farm and every other job with it.
 type delivery struct {
-	job      *Job
-	traj     int // trajectory id, for the remote scheduler's bookkeeping
-	batch    *sim.Batch
-	elapsed  time.Duration
+	job     *Job
+	traj    int // trajectory id, for the remote scheduler's bookkeeping
+	batch   *sim.Batch
+	elapsed time.Duration // service time of the quanta behind this delivery
+	quanta  int           // how many those were (0 means 1)
+	// slabEnd marks the last delivery of a local slab: the task left the
+	// farm, at its until or at the trajectory's end.
+	slabEnd  bool
 	taskDone bool
 	dead     bool
 	steps    uint64
@@ -117,8 +125,8 @@ func NewPool(workers, queueDepth int, queue ff.TaskQueue[poolTask]) *Pool {
 
 // poolWorker advances one task by one simulation quantum, batching the
 // quantum's samples into a single pooled delivery. again reports whether
-// the task is unfinished and should re-enter the dispatcher through the
-// farm's feedback channel.
+// the task is unfinished (and short of its slab's until) and should
+// re-enter the dispatcher through the farm's feedback channel.
 func poolWorker(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (again bool, err error) {
 	job := pt.job
 	traj := pt.task.Traj
@@ -126,7 +134,7 @@ func poolWorker(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (again b
 		// The job was cancelled or failed while this task was queued:
 		// drop the task, but still report completion so the job's
 		// accounting (and sample-stream close) stays consistent.
-		return false, emit(delivery{job: job, traj: traj, taskDone: true})
+		return false, emit(delivery{job: job, traj: traj, taskDone: true, slabEnd: true})
 	}
 	if job.congested() {
 		// The job's ingress queue is over its high-water mark: simulating
@@ -140,13 +148,13 @@ func poolWorker(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (again b
 			job.noteDeferred()
 			return false, nil
 		}
-		return false, emit(delivery{job: job, traj: traj, taskDone: true})
+		return false, emit(delivery{job: job, traj: traj, taskDone: true, slabEnd: true})
 	}
 	start := time.Now()
 	b := sim.GetBatch()
 	if err := pt.task.RunQuantumBatch(b); err != nil {
 		b.Release()
-		return false, emit(delivery{job: job, traj: traj, err: err, taskDone: true})
+		return false, emit(delivery{job: job, traj: traj, err: err, taskDone: true, slabEnd: true})
 	}
 	if len(b.Samples) == 0 {
 		b.Release()
@@ -167,12 +175,12 @@ func poolWorker(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (again b
 	d := delivery{job: job, traj: traj, batch: b, elapsed: elapsed}
 	if pt.task.Done() {
 		d.taskDone, d.dead, d.steps = true, pt.task.Dead(), pt.task.Steps()
-		return false, emit(d)
 	}
+	d.slabEnd = d.taskDone || (pt.until > 0 && pt.task.NextIndex() >= pt.until)
 	if err := emit(d); err != nil {
 		return false, err
 	}
-	return true, nil
+	return !d.slabEnd, nil
 }
 
 // route is the farm's collector body. It runs in a single goroutine, so
@@ -226,6 +234,19 @@ func (p *Pool) Submit(job *Job, n int, build func(i int) (*sim.Task, error)) err
 		}
 	}()
 	return nil
+}
+
+// inject hands one ready task straight to the farm's dispatcher — the
+// slab path of a sharded job, which feeds the pool one short task at a
+// time and so wants no feeder goroutine per submission. The dispatcher
+// buffers pending tasks without bound and never waits on a collector or a
+// worker, so the send returns promptly from any goroutine, the collector's
+// included; on pool shutdown the task is dropped like a queued one.
+func (p *Pool) inject(pt poolTask) {
+	select {
+	case p.submit <- pt:
+	case <-p.ctx.Done():
+	}
 }
 
 // resubmit trickles previously parked tasks back into the farm's input

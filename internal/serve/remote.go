@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sort"
 	"sync"
@@ -15,70 +16,110 @@ import (
 	"cwcflow/internal/sim"
 )
 
-// remoteJob is one job's quantum scheduler across the cluster: it routes
-// the job's trajectories either onto the local simulation pool or over a
-// dff stream to a remote sim worker (cwc-dist worker), enforcing the
-// registry's per-worker in-flight caps, and it owns the fault handling —
-// a trajectory in flight on a dead or timed-out worker is requeued onto a
-// surviving worker (or the local pool) without breaking determinism.
+// remoteJob is one job's slab scheduler across the cluster. The unit of
+// work is a slab — (trajectory, engine snapshot or nil = build from the
+// seed, until-sample-index) — a pure function returning that stretch's
+// samples plus the engine snapshot at its end, so no site holds trajectory
+// state between slabs and any slab can run on any site: a remote sim
+// worker (cwc-dist worker) over a dff stream, or the local simulation pool.
 //
-// Determinism across requeues rests on two invariants:
+// The job keeps one FIFO of idle trajectory heads. Pool slots and worker
+// connections both pull from its front and a trajectory returns to its
+// back when its slab's result is in: round-robin over trajectories, i.e.
+// breadth-first in simulated time, the order the paper's feedback farm
+// gives a single process. Slabs are one window of cuts long and
+// window-aligned, so round r of the queue is window r, and the skew gate
+// lets a trajectory lead the slowest by at most one round: the aligner
+// buffers at most two windows per trajectory, and window r streams out
+// while round r+1 is simulated.
 //
-//  1. every trajectory is rebuilt from (model, BaseSeed+traj) wherever it
-//     runs, so a re-run emits bit-identical samples;
-//  2. filter deduplicates the replayed prefix by tracking, per trajectory,
-//     the next sample index the analysis has not yet seen, and squashes
-//     duplicate completion markers — the aligner downstream therefore sees
-//     every (trajectory, index) sample exactly once, and the window-stats
-//     digest matches a single-process run of the same spec.
+// Determinism rests on two invariants: (1) a snapshot restores species,
+// clock, step counter and RNG, and sim.Task never truncates an SSA step at
+// a boundary, so a trajectory is bit-identical however it is cut into
+// slabs and wherever they run; (2) filter admits a delivery iff it extends
+// the trajectory's frontier, so the aligner sees every (trajectory, index)
+// sample exactly once and the window digest matches a single-process run.
 //
-// Quanta stream back as one batch per quantum and merge into the job's
-// ordinary ingress ring via Job.accept, so everything downstream of the
-// scheduler (windower, stat farm, reorder buffer) is oblivious to where a
-// quantum was simulated.
+// A lost worker costs its in-flight slabs, which requeue at the front of
+// the FIFO from the snapshots their heads still hold. Engines that cannot
+// snapshot (the CWC term rewriter) get one run-to-the-end slab per
+// trajectory, replayed from the seed when its worker is lost. Results
+// merge into the job's ordinary ingress ring via Job.accept, so everything
+// downstream is oblivious to where a slab was simulated.
 type remoteJob struct {
 	srv     *Server
 	job     *Job
 	cfg     core.Config
-	hdr     core.JobHeader
-	timeout time.Duration // per-quantum result watchdog
+	timeout time.Duration // per-connection result watchdog
+	window  int           // slab length in samples
+	samples int           // samples per trajectory
+	// stateless: the model's engine snapshots, so slabs migrate between
+	// sites; otherwise every slab runs to its trajectory's end.
+	stateless bool
+	hook      func(slabEvent) // Options.slabHook test seam, may be nil
 
-	mu            sync.Mutex
-	queue         []int // unassigned trajectory ids, FIFO
-	conns         map[*workerConn]struct{}
-	local         map[int]struct{} // trajectories in flight on the local pool
-	localCap      int
-	nextIdx       map[int]int // per-trajectory dedup: next unseen sample index
-	done          map[int]bool
+	mu        sync.Mutex
+	wake      *sync.Cond // readers parked on a congested ingress (L = &mu)
+	heads     []head     // per trajectory
+	fifo      []int      // idle trajectories, next slab first
+	conns     map[*workerConn]struct{}
+	connsGone chan struct{} // closed when the last connection retires
+	local     int           // slabs in flight on the local pool
+	localCap  int
+	// inRound counts unfinished trajectories per round (nextIdx/window);
+	// minRound, the lowest occupied one, is the skew gate's clock.
+	inRound       []int
+	minRound      int
 	doneCount     int
-	total         int
 	assignsClosed bool // all trajectories done: streams closing gracefully
 	closed        bool // job went terminal: hard stop, no requeues
 }
 
+// head is one trajectory between slabs. Its engine state lives in exactly
+// one place: the live local task (the last slab ran here), the snapshot
+// the last remote slab returned, or — both nil — the seed. A head granted
+// to a worker keeps its snapshot: losing the worker loses only the slab.
+type head struct {
+	nextIdx int // frontier: the next sample index the analysis has not seen
+	task    *sim.Task
+	snap    []byte
+	done    bool
+}
+
+// slabEvent is what the Options.slabHook test seam sees, under rj.mu.
+type slabEvent struct {
+	kind       string // "grant", "accept" or "park"
+	traj       int
+	start, end int  // sample range of the slab (grant) or message (accept, park)
+	remote     bool // grant: bound for a worker, not the local pool
+	done       bool // accept: the trajectory finished
+}
+
+// localSlab is a slab granted to the local pool, between grantLocked
+// (under rj.mu) and runLocal (outside it).
+type localSlab struct{ traj, until int }
+
 // workerConn is one live serve→worker stream: a sender goroutine forwards
-// assignments, a reader goroutine merges result quanta into the job.
+// slabs, a reader goroutine merges their results into the job.
 type workerConn struct {
 	rj         *remoteJob
 	addr       string
 	conn       net.Conn
-	assign     chan int
+	assign     chan core.WorkerMsg
 	assignOnce sync.Once
 	quanta     *obs.Counter // per-worker quanta series child, cached once
-	// inflight maps each in-flight trajectory to its last dispatch or
-	// delivery stamp (unix ns) — the round-trip histogram's clock.
-	// Guarded by rj.mu.
+	// inflight maps each trajectory with a slab on this worker to the grant
+	// (or previous message) stamp in unix ns — the round-trip clock. parked
+	// says the reader is waiting out a congested ingress, not a silent
+	// worker. Both guarded by rj.mu.
 	inflight map[int]int64
+	parked   bool
 	lastMsg  atomic.Int64 // unixnano of the last stream activity
 }
 
-func (wc *workerConn) closeAssigns() {
-	wc.assignOnce.Do(func() { close(wc.assign) })
-}
+func (wc *workerConn) closeAssigns() { wc.assignOnce.Do(func() { close(wc.assign) }) }
 
-func (wc *workerConn) touch() {
-	wc.lastMsg.Store(time.Now().UnixNano())
-}
+func (wc *workerConn) touch() { wc.lastMsg.Store(time.Now().UnixNano()) }
 
 // maxJobWorkerStreams caps how many worker connections one job opens.
 // It bounds both the submit-time dial fan-out and — critically — the
@@ -91,7 +132,7 @@ const maxJobWorkerStreams = 32
 // startRemote shards a job across the registry's live workers, returning
 // false (job untouched) when none are reachable — the caller then falls
 // back to the all-local pool path. On success the scheduler owns the
-// submission of every trajectory.
+// submission of every slab.
 func (s *Server) startRemote(job *Job, cfg core.Config, model core.ModelRef) bool {
 	if s.registry == nil {
 		return false
@@ -103,34 +144,33 @@ func (s *Server) startRemote(job *Job, cfg core.Config, model core.ModelRef) boo
 	if len(addrs) > maxJobWorkerStreams {
 		addrs = addrs[:maxJobWorkerStreams]
 	}
-	// With a durable store behind the job, ask workers to piggyback an
-	// engine snapshot every checkpoint interval (ResultMsg.Ckpt): the
-	// durable frontier then advances with remote progress too, instead
-	// of only with local-pool checkpoints.
-	ckptSamples := 0
-	if job.persist != nil {
-		ckptSamples = s.opts.CheckpointSamples
+	// Trajectory 0's task doubles as the probe for whether the engine
+	// snapshots.
+	probe, err := core.NewTrajectoryTask(cfg, 0)
+	if err != nil {
+		return false // the local path reports the error
 	}
 	rj := &remoteJob{
-		srv: s,
-		job: job,
-		cfg: cfg,
-		hdr: core.JobHeader{
-			Model:             model,
-			End:               cfg.End,
-			Quantum:           cfg.Quantum,
-			Period:            cfg.Period,
-			BaseSeed:          cfg.BaseSeed,
-			CheckpointSamples: ckptSamples,
-			TraceID:           job.trace.ID(),
-		},
-		timeout:  s.opts.WorkerTimeout,
-		conns:    make(map[*workerConn]struct{}),
-		local:    make(map[int]struct{}),
-		localCap: s.pool.Workers(),
-		nextIdx:  make(map[int]int),
-		done:     make(map[int]bool),
-		total:    cfg.Trajectories,
+		srv:       s,
+		job:       job,
+		cfg:       cfg,
+		timeout:   s.opts.WorkerTimeout,
+		window:    cfg.WindowSize,
+		samples:   probe.NumSamples(),
+		stateless: probe.Snapshots(),
+		hook:      s.opts.slabHook,
+		heads:     make([]head, cfg.Trajectories),
+		fifo:      make([]int, cfg.Trajectories),
+		conns:     make(map[*workerConn]struct{}),
+		connsGone: make(chan struct{}),
+		localCap:  s.pool.Workers(),
+		inRound:   make([]int, probe.NumSamples()/cfg.WindowSize+1),
+	}
+	rj.wake = sync.NewCond(&rj.mu)
+	rj.heads[0].task = probe
+	rj.inRound[0] = cfg.Trajectories
+	for i := range rj.fifo {
+		rj.fifo[i] = i
 	}
 	// Dial every live worker concurrently (submit latency is bounded by
 	// one dial window, not the cluster size), retrying once per worker so
@@ -156,10 +196,13 @@ func (s *Server) startRemote(job *Job, cfg core.Config, model core.ModelRef) boo
 		}
 		s.registry.markHealthy(addrs[i])
 		wc := &workerConn{
-			rj:       rj,
-			addr:     addrs[i],
-			conn:     conn,
-			assign:   make(chan int, 1024),
+			rj:   rj,
+			addr: addrs[i],
+			conn: conn,
+			// Far above any sane per-worker cap (an in-flight slab has at
+			// most one message queued here); grants skip a worker whose
+			// sender is backlogged anyway.
+			assign:   make(chan core.WorkerMsg, 1024),
 			quanta:   s.m.workerQuanta.With(addrs[i]),
 			inflight: make(map[int]int64),
 		}
@@ -170,37 +213,35 @@ func (s *Server) startRemote(job *Job, cfg core.Config, model core.ModelRef) boo
 		return false
 	}
 	job.setSched(rj)
-	rj.queue = make([]int, cfg.Trajectories)
-	for i := range rj.queue {
-		rj.queue[i] = i
+	hdr := core.JobHeader{
+		Model: model, End: cfg.End, Quantum: cfg.Quantum, Period: cfg.Period,
+		BaseSeed: cfg.BaseSeed, Slab: cfg.WindowSize, TraceID: job.trace.ID(),
 	}
 	for wc := range rj.conns {
-		go wc.sender(rj.hdr)
+		go wc.sender(hdr)
 		go wc.reader()
 	}
 	go rj.watchdog()
-	rj.mu.Lock()
-	rj.assignLocked()
-	rj.mu.Unlock()
+	rj.kick()
 	return true
 }
 
-// sender pushes the job header and then every assignment onto the stream.
-// A transport failure closes the connection; the reader notices and the
-// scheduler requeues whatever was in flight.
+// sender pushes the job header and then every granted slab onto the
+// stream. A transport failure closes the connection; the reader notices
+// and the scheduler requeues whatever was in flight.
 func (wc *workerConn) sender(hdr core.JobHeader) {
 	out := dff.NewWriter[core.WorkerMsg](wc.conn)
 	if err := out.Send(core.WorkerMsg{Header: &hdr}); err != nil {
 		wc.conn.Close()
 		return
 	}
-	for traj := range wc.assign {
-		if err := out.Send(core.WorkerMsg{Traj: traj}); err != nil {
+	for msg := range wc.assign {
+		if err := out.Send(msg); err != nil {
 			wc.conn.Close()
 			return
 		}
 	}
-	// End of assignments: the worker finishes its tasks, sends the trailer
+	// End of slabs: the worker finishes what it holds, sends the trailer
 	// and closes its side.
 	_ = out.Close()
 }
@@ -212,17 +253,13 @@ func (wc *workerConn) reader() {
 	faults := wc.rj.srv.opts.Chaos // nil in production: each hook is one nil check
 	for {
 		msg, ok, err := in.Recv()
-		if err != nil {
+		if err != nil || !ok {
 			wc.rj.connDown(wc, err)
-			return
-		}
-		if !ok {
-			wc.rj.connDown(wc, nil)
 			return
 		}
 		wc.touch()
 		if msg.Trailer != nil {
-			// Serve-side accounting rides the per-task markers; the trailer
+			// Serve-side accounting rides the per-slab markers; the trailer
 			// closes the stream — and brings home the worker's spans, which
 			// merge into the owning job's trace under the local trace id.
 			wc.rj.job.trace.Merge(msg.Trailer.Spans)
@@ -232,217 +269,302 @@ func (wc *workerConn) reader() {
 		// the message twice — the requeue/dedup machinery must absorb all
 		// three without perturbing the window digest.
 		if faults.Fire(chaos.RecvDrop) {
-			wc.conn.Close()
 			wc.rj.connDown(wc, errors.New("serve: chaos dropped worker connection"))
 			return
 		}
 		if d := faults.Stall(chaos.RecvDelay); d > 0 {
 			time.Sleep(d)
 		}
-		wc.rj.deliver(wc, msg)
-		if faults.Fire(chaos.RecvDup) {
-			wc.rj.deliver(wc, msg)
+		err = wc.rj.deliver(wc, msg)
+		if err == nil && faults.Fire(chaos.RecvDup) {
+			err = wc.rj.deliver(wc, msg)
+		}
+		if err != nil {
+			wc.rj.connDown(wc, err)
+			return
 		}
 	}
 }
 
-// deliver converts one remote quantum into a pool-style delivery and
-// merges it through the job's ordinary ingress path. Flow control is the
-// reader itself: while the job's ingress is congested the reader stops
-// consuming, TCP backpressure reaches the worker's collector, and the
-// worker's farm stalls — the distributed analogue of parking local tasks.
-func (rj *remoteJob) deliver(wc *workerConn, msg core.ResultMsg) {
+// deliver merges one remote result message through the job's ordinary
+// ingress path and, when it ends its slab, returns the trajectory to the
+// FIFO. Flow control is the reader itself: while the job's ingress is
+// congested it parks on rj.wake (the windower's low-water kick wakes it),
+// TCP backpressure reaches the worker's collector, and the worker's farm
+// stalls — the distributed analogue of parking local tasks. An error means
+// the worker broke the protocol and its connection must go.
+func (rj *remoteJob) deliver(wc *workerConn, msg core.ResultMsg) error {
+	next := msg.Start + len(msg.Samples)
+	if len(msg.Snap) > 0 {
+		// Journaled ahead of the congestion gate (stale offers are skipped
+		// inside): the durable frontier keeps advancing with remote
+		// progress even while this job's analysis is backpressured.
+		rj.job.remoteCheckpoint(msg.Traj, next, msg.Snap)
+	}
+	rj.mu.Lock()
+	stamp, held := wc.inflight[msg.Traj]
+	if !held || next <= rj.heads[msg.Traj].nextIdx {
+		// A duplicate, a result of a slab that already completed, or a
+		// from-the-seed replay still below the frontier.
+		rj.mu.Unlock()
+		return nil
+	}
+	h := &rj.heads[msg.Traj]
+	if msg.Start > h.nextIdx {
+		rj.mu.Unlock()
+		return fmt.Errorf("serve: worker %s skipped samples %d..%d of trajectory %d", wc.addr, h.nextIdx, msg.Start, msg.Traj)
+	}
+	for rj.job.congested() && !rj.closed {
+		if rj.hook != nil && !wc.parked {
+			rj.hook(slabEvent{kind: "park", traj: msg.Traj, start: msg.Start, end: next})
+		}
+		wc.parked = true
+		rj.wake.Wait()
+	}
+	if wc.parked {
+		wc.parked = false
+		wc.touch() // alive, just backpressured: keep the watchdog quiet
+	}
+	rj.mu.Unlock()
+
 	d := delivery{
 		job:      rj.job,
 		traj:     msg.Traj,
 		elapsed:  time.Duration(msg.ElapsedNs),
+		quanta:   msg.Quanta,
 		taskDone: msg.TaskDone,
 		dead:     msg.Dead,
 		steps:    msg.Steps,
 	}
 	if len(msg.Samples) > 0 {
-		b := sim.GetBatch()
-		for _, s := range msg.Samples {
-			b.Append(s)
-		}
-		d.batch = b
-	}
-	// A piggybacked worker checkpoint lands in the journal before the
-	// congestion gate: the durable frontier keeps advancing with remote
-	// progress even while this job's analysis is backpressured.
-	if len(msg.Ckpt) > 0 {
-		rj.job.remoteCheckpoint(msg.Traj, msg.CkptNext, msg.Ckpt)
-	}
-	for rj.job.congested() && !rj.job.terminal() {
-		wc.touch() // alive, just backpressured: keep the watchdog quiet
-		time.Sleep(2 * time.Millisecond)
+		d.batch = sim.BatchOf(msg.Samples)
 	}
 	// Remote quanta count toward the owning tenant's dispatched-quanta
 	// observable just like local ones (GET /tenants); only the local
-	// pool's share is shaped by the sched.Scheduler, since remote workers
-	// pull at their own pace over their own streams.
-	if rj.job.tenantQuanta != nil {
-		rj.job.tenantQuanta.Add(1)
+	// pool's share is shaped by the sched.Scheduler. The worker reports a
+	// slab's quanta as a count and a busy time: the per-quantum histogram
+	// gets their mean, once per quantum.
+	if n := msg.Quanta; n > 0 {
+		if rj.job.tenantQuanta != nil {
+			rj.job.tenantQuanta.Add(int64(n))
+		}
+		rj.job.metrics.remoteQuantum.ObserveN(d.elapsed/time.Duration(n), n)
+		rj.job.metrics.quantaRemote.Add(uint64(n))
+		wc.quanta.Add(uint64(n))
+		rj.job.obsTenantQuanta.Add(uint64(n))
 	}
-	m := rj.job.metrics
-	m.remoteQuantum.Observe(d.elapsed)
-	m.quantaRemote.Inc()
-	wc.quanta.Inc()
-	rj.job.obsTenantQuanta.Inc()
-	// Round trip: dispatch (or previous delivery) to this delivery —
-	// worker compute plus both wire legs and queueing. The stamp advances
-	// with each quantum so a long trajectory yields per-quantum gaps, not
-	// one ever-growing interval.
-	rj.mu.Lock()
-	if ts, ok := wc.inflight[msg.Traj]; ok {
-		now := time.Now().UnixNano()
-		m.remoteRTT.Observe(time.Duration(now - ts))
-		wc.inflight[msg.Traj] = now
-	}
-	rj.mu.Unlock()
 	_ = rj.job.accept(rj.job.ctx, d)
-	if msg.TaskDone {
-		rj.taskDelivered(wc, msg.Traj)
+
+	// Round trip: grant (or the slab's previous message) to this delivery —
+	// worker queueing and compute plus both wire legs.
+	now := time.Now().UnixNano()
+	rj.job.metrics.remoteRTT.Observe(time.Duration(now - stamp))
+	rj.mu.Lock()
+	if !msg.TaskDone && len(msg.Snap) == 0 {
+		wc.inflight[msg.Traj] = now // more of this slab to come
+		rj.mu.Unlock()
+		return nil
 	}
+	delete(wc.inflight, msg.Traj)
+	rj.srv.registry.release(wc.addr)
+	if msg.TaskDone {
+		rj.job.remoteDone.Add(1)
+	} else {
+		h.snap, h.task = msg.Snap, nil
+		rj.fifo = append(rj.fifo, msg.Traj)
+	}
+	rj.grantUnlock()
+	return nil
 }
 
 // filter runs inside Job.accept for every delivery (local and remote) of
-// a scheduled job: it drops the already-seen sample prefix of a requeued
-// trajectory and squashes duplicate completion markers, so the windower
-// sees each sample and each completion exactly once however many times a
-// trajectory was (re)started.
+// a scheduled job: it admits the samples that extend the trajectory's
+// frontier — a batch is contiguous, so a replayed prefix is one slice
+// expression, not a scan — and squashes duplicate completion markers, so
+// the windower sees each sample and each completion exactly once however
+// many times a slab was (re)started.
 func (rj *remoteJob) filter(d *delivery) {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	if d.batch != nil {
-		next := rj.nextIdx[d.traj]
-		kept := d.batch.Samples[:0]
-		for _, s := range d.batch.Samples {
-			if s.Index >= next {
-				kept = append(kept, s)
-				next = s.Index + 1
-			}
-		}
-		d.batch.Samples = kept
-		rj.nextIdx[d.traj] = next
-		if len(kept) == 0 {
-			d.batch.Release()
+	h := &rj.heads[d.traj]
+	round, start := h.nextIdx/rj.window, h.nextIdx
+	if b := d.batch; b != nil {
+		if skip := start - b.Samples[0].Index; h.done || skip < 0 || skip >= len(b.Samples) {
+			b.Release()
 			d.batch = nil
+		} else {
+			b.Samples = b.Samples[:copy(b.Samples, b.Samples[skip:])]
+			h.nextIdx += len(b.Samples)
 		}
+	}
+	if h.done {
+		d.taskDone, d.dead, d.steps = false, false, 0
+		return
 	}
 	if d.taskDone {
-		if rj.done[d.traj] {
-			// A duplicate completion: the trajectory already finished on
-			// another assignee (requeue raced a slow-but-alive worker).
-			d.taskDone, d.dead, d.steps = false, false, 0
-		} else {
-			rj.done[d.traj] = true
-			rj.doneCount++
-			delete(rj.local, d.traj)
-			if rj.doneCount == rj.total {
-				rj.closeAssignsLocked()
-			} else {
-				rj.assignLocked()
+		h.done = true
+		h.task, h.snap = nil, nil
+		if rj.doneCount++; rj.doneCount == len(rj.heads) {
+			// Graceful shutdown of every stream: senders emit end-of-stream,
+			// workers answer with their trailer, readers retire the conns.
+			rj.assignsClosed = true
+			for wc := range rj.conns {
+				wc.closeAssigns()
 			}
 		}
 	}
+	if now := h.nextIdx / rj.window; h.done || now != round {
+		// The skew gate's clock: the lowest round still occupied.
+		rj.inRound[round]--
+		if !h.done {
+			rj.inRound[now]++
+		}
+		for rj.minRound < len(rj.inRound)-1 && rj.inRound[rj.minRound] == 0 {
+			rj.minRound++
+		}
+	}
+	if rj.hook != nil && (h.nextIdx > start || h.done) {
+		rj.hook(slabEvent{kind: "accept", traj: d.traj, start: start, end: h.nextIdx, done: h.done})
+	}
 }
 
-// taskDelivered releases the worker's in-flight slot for a completed
-// trajectory and tops the worker back up.
-func (rj *remoteJob) taskDelivered(wc *workerConn, traj int) {
+// localSlabEnd runs after Job.accept pushed a local slab's last delivery:
+// the live task stays with its head (filter cleared it if the trajectory
+// finished) and the head rejoins the FIFO.
+func (rj *remoteJob) localSlabEnd(traj int) {
 	rj.mu.Lock()
-	if _, ok := wc.inflight[traj]; ok {
-		delete(wc.inflight, traj)
-		rj.srv.registry.release(wc.addr)
-		rj.job.remoteDone.Add(1)
+	rj.local--
+	if !rj.heads[traj].done {
+		rj.fifo = append(rj.fifo, traj)
 	}
-	rj.assignLocked()
-	rj.mu.Unlock()
+	rj.grantUnlock()
 }
 
-// assignLocked distributes queued trajectories: remote workers first (one
-// registry slot per trajectory, skipping workers whose sender is
-// backlogged), then the local pool up to localCap. When no remote
-// connection survives, the local pool absorbs everything — a job never
-// stalls because the cluster shrank. Callers hold rj.mu.
-func (rj *remoteJob) assignLocked() {
-	if rj.closed || rj.assignsClosed || len(rj.queue) == 0 {
-		return
+// grantLocked hands idle trajectories their next slab while a site has
+// room: a worker connection with a free registry slot (the per-worker
+// in-flight cap, counted in slabs across all jobs) or the local pool up to
+// localCap. The skew gate admits the first FIFO entry at most one round
+// ahead of the slowest trajectory — the front, unless a straggler holds
+// the round back; the slowest idle trajectory always qualifies, so the
+// gate cannot wedge. A trajectory whose state is a live local task prefers
+// the pool and one whose state is snapshot bytes a worker, so state is
+// converted only when a trajectory changes site. Nothing is granted while
+// the job's ingress is congested (the windower kicks us below the
+// low-water mark). Slabs bound for the pool are returned for runLocal,
+// which builds and submits them once rj.mu is released. Callers hold rj.mu.
+func (rj *remoteJob) grantLocked() (local []localSlab) {
+	if rj.closed || rj.assignsClosed || rj.job.congested() {
+		return nil
 	}
-	if rj.job.congested() {
-		// Starting more trajectories would only deepen a backlog the
-		// analysis cannot drain; the windower kicks us below the low-water
-		// mark.
-		return
-	}
-	progress := true
-	for progress && len(rj.queue) > 0 {
-		progress = false
-		for wc := range rj.conns {
-			if len(rj.queue) == 0 {
-				break
-			}
-			if !rj.srv.registry.tryAcquire(wc.addr) {
+	for i := 0; i < len(rj.fifo); {
+		traj := rj.fifo[i]
+		h := &rj.heads[traj]
+		until := rj.samples
+		if rj.stateless {
+			if h.nextIdx/rj.window > rj.minRound+1 {
+				i++
 				continue
 			}
-			traj := rj.queue[0]
-			select {
-			case wc.assign <- traj:
-				rj.queue = rj.queue[1:]
-				wc.inflight[traj] = time.Now().UnixNano()
-				progress = true
-			default:
-				// Sender backlogged (slow worker): give the slot back and
-				// let another destination take the trajectory.
-				rj.srv.registry.release(wc.addr)
+			until = min((h.nextIdx/rj.window+1)*rj.window, rj.samples)
+		}
+		poolFree := rj.local < rj.localCap
+		var wc *workerConn
+		if h.task == nil || (!poolFree && rj.stateless) {
+			wc = rj.acquireConnLocked()
+		}
+		switch {
+		case wc != nil:
+			if h.task != nil {
+				snap, _, err := h.task.Snapshot()
+				if err != nil {
+					rj.srv.registry.release(wc.addr)
+					i++ // cannot leave this site: it waits for a pool slot
+					continue
+				}
+				h.snap, h.task = snap, nil
 			}
+			wc.assign <- core.WorkerMsg{Traj: traj, Snap: h.snap, Until: until}
+			wc.inflight[traj] = time.Now().UnixNano()
+		case poolFree:
+			rj.local++
+			local = append(local, localSlab{traj, until})
+		default:
+			return local
+		}
+		if i == 0 {
+			rj.fifo = rj.fifo[1:] // the common case, O(1)
+		} else {
+			rj.fifo = append(rj.fifo[:i], rj.fifo[i+1:]...)
+		}
+		if rj.hook != nil {
+			rj.hook(slabEvent{kind: "grant", traj: traj, start: h.nextIdx, end: until, remote: wc != nil})
 		}
 	}
-	var localBatch []int
-	for len(rj.queue) > 0 && (len(rj.conns) == 0 || len(rj.local) < rj.localCap) {
-		traj := rj.queue[0]
-		rj.queue = rj.queue[1:]
-		rj.local[traj] = struct{}{}
-		localBatch = append(localBatch, traj)
-	}
-	if len(localBatch) > 0 {
-		rj.submitLocal(localBatch)
-	}
+	return local
 }
 
-// submitLocal hands trajectories to the shared local pool in one
-// submission (one feeder goroutine however many trajectories fall back at
-// once). It runs under rj.mu (from assignLocked), so a submission failure
-// must not fail the job inline: fail → setTerminal → stop() re-acquires
-// rj.mu, which would self-deadlock. The fail is deferred to its own
-// goroutine instead.
-func (rj *remoteJob) submitLocal(trajs []int) {
-	cfg := rj.cfg
-	err := rj.srv.pool.Submit(rj.job, len(trajs), func(i int) (*sim.Task, error) {
-		return core.NewTrajectoryTask(cfg, trajs[i])
-	})
-	if err != nil {
-		go rj.job.fail(err)
+// grantUnlock runs a grant pass and releases rj.mu, which the caller holds.
+func (rj *remoteJob) grantUnlock() {
+	local := rj.grantLocked()
+	rj.mu.Unlock()
+	rj.runLocal(local)
+}
+
+// acquireConnLocked claims a registry slot on some connection (map order
+// spreads the load), or returns nil when every worker is at its cap or its
+// sender is backlogged. Callers hold rj.mu.
+func (rj *remoteJob) acquireConnLocked() *workerConn {
+	for wc := range rj.conns {
+		if len(wc.assign) < cap(wc.assign) && rj.srv.registry.tryAcquire(wc.addr) {
+			return wc
+		}
+	}
+	return nil
+}
+
+// runLocal submits granted slabs to the shared local pool, first building
+// the task of a trajectory whose state is a snapshot (or the seed). It
+// runs outside rj.mu: a build failure fails the job, and fail →
+// setTerminal → stop re-acquires the mutex. Touching the head unlocked is
+// safe because a granted head belongs to its slab alone until
+// localSlabEnd, which the pool orders after this submission.
+func (rj *remoteJob) runLocal(slabs []localSlab) {
+	for _, ls := range slabs {
+		h := &rj.heads[ls.traj]
+		if h.task == nil {
+			task, err := core.NewTrajectoryTask(rj.cfg, ls.traj)
+			if err == nil && h.snap != nil {
+				err = task.Restore(h.snap)
+			}
+			if err != nil {
+				rj.job.fail(fmt.Errorf("serve: resuming trajectory %d locally: %w", ls.traj, err))
+				return
+			}
+			h.task, h.snap = task, nil
+		}
+		rj.srv.pool.inject(poolTask{job: rj.job, task: h.task, until: ls.until})
 	}
 }
 
 // connDown retires one worker connection: clean EOF after the trailer on
-// the graceful path, or a failure — then every trajectory still in flight
-// on it is requeued and the worker enters its registry cooldown. The conn
-// is removed from rj.conns under the mutex BEFORE its assign channel
-// closes: assignLocked only ever sends to members of rj.conns while
-// holding rj.mu, so the ordering makes a send on the closed channel
-// impossible.
+// the graceful path, or a failure — then every slab still in flight on it
+// requeues at the front of the FIFO (its trajectories are the furthest
+// behind) and the worker enters its registry cooldown. The conn leaves
+// rj.conns under the mutex BEFORE its assign channel closes: grantLocked
+// only sends to members of rj.conns while holding rj.mu, so a send on the
+// closed channel is impossible.
 func (rj *remoteJob) connDown(wc *workerConn, err error) {
 	wc.conn.Close()
+	defer wc.closeAssigns()
 	rj.mu.Lock()
 	if _, ok := rj.conns[wc]; !ok {
 		rj.mu.Unlock()
-		wc.closeAssigns() // already retired elsewhere; still stop the sender
-		return
+		return // already retired elsewhere
 	}
 	delete(rj.conns, wc)
+	if len(rj.conns) == 0 {
+		close(rj.connsGone)
+	}
 	requeue := make([]int, 0, len(wc.inflight))
 	for traj := range wc.inflight {
 		requeue = append(requeue, traj)
@@ -455,46 +577,35 @@ func (rj *remoteJob) connDown(wc *workerConn, err error) {
 	if !rj.closed {
 		if len(requeue) > 0 {
 			sort.Ints(requeue)
-			rj.queue = append(rj.queue, requeue...)
+			rj.fifo = append(requeue, rj.fifo...)
 			rj.job.requeued.Add(int64(len(requeue)))
 			rj.job.metrics.requeued.Add(uint64(len(requeue)))
 			rj.job.trace.Event("requeue", rj.job.origin, "worker "+wc.addr+" lost")
 		}
-		rj.assignLocked()
+		if len(rj.conns) == 0 {
+			// All-local from here on — a job never stalls because the
+			// cluster shrank: the pool's own dispatcher, not this
+			// scheduler's cap, now paces the trajectories.
+			rj.localCap = len(rj.heads)
+		}
 	}
-	rj.mu.Unlock()
-	wc.closeAssigns()
+	rj.grantUnlock()
 }
 
-// closeAssignsLocked starts the graceful shutdown of every stream once no
-// trajectory remains: senders emit end-of-stream, workers answer with
-// their trailer and close, readers retire the connections. Callers hold
-// rj.mu.
-func (rj *remoteJob) closeAssignsLocked() {
-	if rj.assignsClosed {
-		return
-	}
-	rj.assignsClosed = true
-	for wc := range rj.conns {
-		wc.closeAssigns()
-	}
-}
-
-// kick re-runs assignment — the windower calls it when the ingress drains
-// below the low-water mark, resuming trajectory starts deferred by
-// congestion.
+// kick re-runs granting and wakes readers parked on congestion — the
+// windower calls it when the ingress drains below the low-water mark.
 func (rj *remoteJob) kick() {
 	rj.mu.Lock()
-	rj.assignLocked()
-	rj.mu.Unlock()
+	rj.wake.Broadcast()
+	rj.grantUnlock()
 }
 
 // stop ends the scheduler on a terminal job. On cancel or failure the
 // connections close hard: in-flight work is abandoned (the workers' late
 // results have nowhere to go) and nothing is requeued. On normal
-// completion the streams already carry end-of-assignments, so the workers
-// are left to answer with their trailer and a clean close — their logs
-// stay free of torn-connection errors — with a reaper closing stragglers.
+// completion the streams already carry end-of-slabs, so the workers are
+// left to answer with their trailer and a clean close — their logs stay
+// free of torn-connection errors — with a reaper closing stragglers.
 func (rj *remoteJob) stop() {
 	rj.mu.Lock()
 	if rj.closed {
@@ -502,56 +613,40 @@ func (rj *remoteJob) stop() {
 		return
 	}
 	rj.closed = true
-	rj.queue = nil
+	rj.fifo = nil
 	graceful := rj.assignsClosed
 	conns := make([]*workerConn, 0, len(rj.conns))
 	for wc := range rj.conns {
 		conns = append(conns, wc)
 	}
+	rj.wake.Broadcast()
 	rj.mu.Unlock()
-	if !graceful {
+	closeAll := func() {
 		for _, wc := range conns {
 			wc.closeAssigns()
 			wc.conn.Close()
 		}
-		return
 	}
-	if len(conns) == 0 {
-		return
-	}
-	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			rj.mu.Lock()
-			n := len(rj.conns)
-			rj.mu.Unlock()
-			if n == 0 {
-				return
+	if !graceful {
+		closeAll()
+	} else if len(conns) > 0 {
+		go func() {
+			select {
+			case <-rj.connsGone:
+			case <-time.After(5 * time.Second):
+				closeAll()
 			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		rj.mu.Lock()
-		leftover := make([]*workerConn, 0, len(rj.conns))
-		for wc := range rj.conns {
-			leftover = append(leftover, wc)
-		}
-		rj.mu.Unlock()
-		for _, wc := range leftover {
-			wc.conn.Close()
-		}
-	}()
+		}()
+	}
 }
 
-// watchdog kills connections whose worker holds work but has produced no
-// stream activity for the timeout — the reader then unblocks with an
-// error and the in-flight trajectories requeue. It also re-kicks
-// assignment each tick as a safety net against missed capacity wakeups.
+// watchdog kills connections whose worker holds slabs but has produced no
+// stream activity for the timeout — the reader then unblocks with an error
+// and the in-flight slabs requeue. It also re-runs granting each tick as a
+// safety net against missed capacity wakeups (a registry slot freed by
+// another job raises no event here).
 func (rj *remoteJob) watchdog() {
-	tick := rj.timeout / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(max(rj.timeout/4, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -563,12 +658,11 @@ func (rj *remoteJob) watchdog() {
 		rj.mu.Lock()
 		var stale []*workerConn
 		for wc := range rj.conns {
-			if len(wc.inflight) > 0 && now-wc.lastMsg.Load() > int64(rj.timeout) {
+			if len(wc.inflight) > 0 && !wc.parked && now-wc.lastMsg.Load() > int64(rj.timeout) {
 				stale = append(stale, wc)
 			}
 		}
-		rj.assignLocked()
-		rj.mu.Unlock()
+		rj.grantUnlock()
 		for _, wc := range stale {
 			wc.conn.Close()
 		}

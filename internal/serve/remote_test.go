@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cwcflow/internal/chaos"
 	"cwcflow/internal/core"
 	"cwcflow/internal/dff"
 	"cwcflow/internal/serve"
@@ -124,7 +125,7 @@ func startWorker(t *testing.T, simWorkers int, resolver core.ModelResolver) *kil
 	go func() {
 		// Teardown errors (severed connections) are expected; real failures
 		// surface on the serve side as requeues or job errors.
-		_ = core.ServeSimWorkerWith(ctx, w, simWorkers, resolver, nil)
+		_ = core.ServeSimWorkerOpts(ctx, w, core.SimWorkerOptions{SimWorkers: simWorkers, Resolver: resolver})
 	}()
 	t.Cleanup(w.kill)
 	return w
@@ -201,37 +202,66 @@ func newHTTPServer(t *testing.T, h http.Handler) string {
 
 // TestRemoteShardingDigestMatchesLocal is the acceptance pin: the same
 // spec produces a bit-identical window-stats digest whether the job runs
-// single-process or sharded across two remote sim workers.
+// single-process or sharded into slabs across remote sim workers — for the
+// synthetic walk and the CWC term rewriter (engines that cannot snapshot:
+// run-to-the-end slabs) and for both SSA-engine models (window-sized slabs
+// migrating between sites), on one worker and on three, with and without
+// delivery-layer faults (duplicated and delayed results, one severed
+// connection) for the requeue and dedup machinery to absorb.
 func TestRemoteShardingDigestMatchesLocal(t *testing.T) {
-	// Single-process reference.
-	_, refURL := newRemoteServer(t, 0, serve.Options{})
-	refSt, refDigest := runToDigest(t, refURL, walkSpec())
-	if refSt.State != serve.StateDone {
-		t.Fatalf("reference job: %s (%s)", refSt.State, refSt.Error)
+	specs := map[string]serve.JobSpec{
+		"walk":           walkSpec(),
+		"sir":            {Model: "sir", Trajectories: 16, End: 12, Period: 0.5, WindowSize: 8, Seed: 42},
+		"neurospora":     {Model: "neurospora", Omega: 20, Trajectories: 12, End: 12, Period: 0.5, WindowSize: 8, Seed: 42},
+		"neurospora-cwc": {Model: "neurospora-cwc", Omega: 5, Trajectories: 6, End: 6, Period: 0.5, WindowSize: 4, Seed: 42},
 	}
-	if refSt.Progress.RemoteTasksDone != 0 {
-		t.Fatalf("reference job used remote workers: %+v", refSt.Progress)
-	}
-
-	w1 := startWorker(t, 2, walkResolver(0))
-	w2 := startWorker(t, 2, walkResolver(0))
-	_, distURL := newRemoteServer(t, 0, serve.Options{
-		WorkerAddrs:    []string{w1.addr, w2.addr},
-		WorkerInFlight: 2,
-	})
-	distSt, distDigest := runToDigest(t, distURL, walkSpec())
-	if distSt.State != serve.StateDone {
-		t.Fatalf("sharded job: %s (%s)", distSt.State, distSt.Error)
-	}
-	if distSt.Progress.RemoteTasksDone == 0 {
-		t.Fatal("job did not shard onto remote workers")
-	}
-	if distDigest != refDigest {
-		t.Fatalf("window digest diverged:\n  local  %s\n  remote %s", refDigest, distDigest)
-	}
-	if distSt.Progress.Windows != refSt.Progress.Windows {
-		t.Fatalf("window counts diverged: local %d, remote %d",
-			refSt.Progress.Windows, distSt.Progress.Windows)
+	for model, spec := range specs {
+		t.Run(model, func(t *testing.T) {
+			_, refURL := newRemoteServer(t, 0, serve.Options{})
+			refSt, refDigest := runToDigest(t, refURL, spec)
+			if refSt.State != serve.StateDone {
+				t.Fatalf("reference job: %s (%s)", refSt.State, refSt.Error)
+			}
+			if refSt.Progress.RemoteTasksDone != 0 {
+				t.Fatalf("reference job used remote workers: %+v", refSt.Progress)
+			}
+			for _, workers := range []int{1, 3} {
+				for _, faults := range []bool{false, true} {
+					t.Run(fmt.Sprintf("workers=%d/chaos=%v", workers, faults), func(t *testing.T) {
+						opts := serve.Options{WorkerInFlight: 2}
+						for i := 0; i < workers; i++ {
+							opts.WorkerAddrs = append(opts.WorkerAddrs, startWorker(t, 2, walkResolver(0)).addr)
+						}
+						var inj *chaos.Injector
+						if faults {
+							inj = chaos.New(7)
+							inj.Arm(chaos.RecvDup, chaos.Rule{Prob: 0.5})
+							inj.Arm(chaos.RecvDelay, chaos.Rule{Prob: 0.3, Delay: time.Millisecond})
+							inj.Arm(chaos.RecvDrop, chaos.Rule{Prob: 1, After: 6, Limit: 1})
+							opts.Chaos = inj
+						}
+						_, distURL := newRemoteServer(t, 0, opts)
+						distSt, distDigest := runToDigest(t, distURL, spec)
+						if distSt.State != serve.StateDone {
+							t.Fatalf("sharded job: %s (%s)", distSt.State, distSt.Error)
+						}
+						if distDigest != refDigest {
+							t.Fatalf("window digest diverged:\n  local  %s\n  remote %s", refDigest, distDigest)
+						}
+						if distSt.Progress.Windows != refSt.Progress.Windows {
+							t.Fatalf("window counts diverged: local %d, remote %d",
+								refSt.Progress.Windows, distSt.Progress.Windows)
+						}
+						if !faults && distSt.Progress.RemoteTasksDone == 0 {
+							t.Fatal("job did not shard onto remote workers")
+						}
+						if faults && inj.Fired(chaos.RecvDup)+inj.Fired(chaos.RecvDelay)+inj.Fired(chaos.RecvDrop) == 0 {
+							t.Fatal("chaos injector never fired; the run exercised nothing")
+						}
+					})
+				}
+			}
+		})
 	}
 }
 

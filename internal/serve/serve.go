@@ -134,9 +134,9 @@ type Options struct {
 	// worker processes) the service may shard trajectory quanta onto.
 	// More workers can join at runtime via POST /workers/register.
 	WorkerAddrs []string
-	// WorkerInFlight caps the trajectories in flight on one remote worker
-	// across all jobs (default 8); a register call may override it per
-	// worker.
+	// WorkerInFlight caps the slabs (one window of one trajectory each) in
+	// flight on one remote worker across all jobs (default 8); a register
+	// call may override it per worker.
 	WorkerInFlight int
 	// WorkerTTL is the heartbeat window of dynamically registered workers
 	// (default 15s): a worker that has not re-registered within it stops
@@ -146,8 +146,8 @@ type Options struct {
 	// scheduler retries it (default 10s).
 	WorkerCooldown time.Duration
 	// WorkerTimeout is the per-connection result watchdog (default 30s):
-	// a worker holding trajectories that produces no stream activity for
-	// this long is declared dead and its work requeued.
+	// a worker holding slabs that produces no stream activity for this
+	// long is declared dead and its slabs requeued.
 	WorkerTimeout time.Duration
 	// DialTimeout bounds the connection attempt to a worker at job
 	// submission (default 3s).
@@ -165,9 +165,9 @@ type Options struct {
 	// advances by this many samples (default 16, usually one window of
 	// cuts). Smaller values mean less re-simulation after a crash, more
 	// journal traffic. Only meaningful with DataDir. The cadence applies
-	// to local-pool trajectories and, via JobHeader.CheckpointSamples,
-	// to remote ones: workers piggyback engine snapshots on their result
-	// stream so the durable frontier advances with remote progress too.
+	// to local-pool trajectories and to remote ones alike: every remote
+	// slab ends in an engine snapshot, journaled at this cadence, so the
+	// durable frontier advances with remote progress too.
 	CheckpointSamples int
 	// ReplicaID, when non-empty, runs this server as one replica of a
 	// replicated serve tier over the shared DataDir: its journal moves to
@@ -266,6 +266,10 @@ type Options struct {
 	// tenant) with a cost that parallelises across engines independently
 	// of the host's core count.
 	statHook func(jobID string)
+	// slabHook, when non-nil, observes every grant, admitted delivery and
+	// parked reader of every sharded job's slab scheduler (see slabEvent),
+	// under the scheduler's mutex. Test seam.
+	slabHook func(slabEvent)
 
 	// metrics is the server's metric set, created by New and threaded to
 	// jobs through this options copy (the same unexported-seam pattern as

@@ -90,6 +90,17 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // GetBatch returns an empty batch from the shared pool.
 func GetBatch() *Batch { return batchPool.Get().(*Batch) }
 
+// BatchOf returns a pooled batch holding copies of samples, which must all
+// come from one trajectory — how samples decoded off the wire rejoin the
+// batch-recycling pipeline.
+func BatchOf(samples []Sample) *Batch {
+	b := GetBatch()
+	for _, s := range samples {
+		b.Append(s)
+	}
+	return b
+}
+
 // Release empties the batch and returns it (arena included) to the shared
 // pool. The caller must not retain the batch, its Samples slice, or any
 // Sample.State backed by it.
@@ -205,6 +216,13 @@ func (t *Task) Steps() uint64 {
 // NextIndex returns the index of the next sample the task will emit —
 // samples below it have already been delivered.
 func (t *Task) NextIndex() int { return t.nextIdx }
+
+// Snapshots reports whether Snapshot and Restore work on this task, i.e.
+// whether its simulator implements SnapshotSimulator.
+func (t *Task) Snapshots() bool {
+	_, ok := t.sim.(SnapshotSimulator)
+	return ok
+}
 
 // taskSnapVersion guards the Task checkpoint layout.
 const taskSnapVersion = 1

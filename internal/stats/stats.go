@@ -41,6 +41,11 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
+// AddN folds n observations of the same value x into the accumulator.
+func (w *Welford) AddN(x float64, n int64) {
+	w.Merge(Welford{n: n, mean: x, min: x, max: x})
+}
+
 // N returns the number of observations.
 func (w *Welford) N() int64 { return w.n }
 

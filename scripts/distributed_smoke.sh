@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Distributed smoke: two cwc-dist sim workers plus cwc-serve sharding a
 # job across them must produce a window-stats digest bit-identical to a
-# single-process cwc-serve run of the same seed.
+# single-process cwc-serve run of the same seed — and must stream: the
+# first window of a sharded job has to arrive while most trajectories are
+# still running (breadth-first slab dispatch), not at the job's end.
 #
 # Needs: go, curl, jq, sha256sum. Run from the repo root.
 set -euo pipefail
@@ -58,3 +60,31 @@ if [ "$REF_DIGEST" != "$DIST_DIGEST" ]; then
   exit 1
 fi
 echo "OK: distributed digest bit-identical to single-process"
+
+# Streaming check, by counts and not by the clock: at the moment the first
+# window event of a 64-trajectory job arrives, fewer than half of its
+# trajectories may have finished. Run-to-completion dispatch fails this
+# (window 0 closes only when the last trajectory starts); slab dispatch
+# publishes window 0 a sixth of the way into every trajectory.
+HEAVY='{"model":"neurospora","omega":100,"trajectories":64,"end":48,"period":0.5,"window":16,"seed":43}'
+ID=$(curl -fsS "http://$DIST/jobs" -d "$HEAVY" | jq -re .id)
+DONE_AT_FIRST=
+while IFS= read -r line; do
+  if [ "$(jq -r .type <<<"$line")" = window ]; then
+    DONE_AT_FIRST=$(curl -fsS "http://$DIST/jobs/$ID" | jq -re .progress.tasks_done)
+    break
+  fi
+done < <(curl -fsSN "http://$DIST/jobs/$ID/stream" 2>/dev/null) # cut off at the first window: its write error is expected
+curl -fsS "http://$DIST/jobs/$ID/result?wait=true" >"$BIN/heavy.json"
+STATE=$(jq -re .status.state "$BIN/heavy.json")
+REMOTE_DONE=$(jq -r '.status.progress.remote_tasks_done // 0' "$BIN/heavy.json")
+echo "streaming job: state=$STATE tasks_done at first window=${DONE_AT_FIRST:-none}/64 remote_tasks_done=$REMOTE_DONE"
+if [ "$STATE" != "done" ] || [ "$REMOTE_DONE" -lt 1 ]; then
+  echo "FAIL: the streaming job ended $STATE with $REMOTE_DONE trajectories finished remotely" >&2
+  exit 1
+fi
+if [ -z "$DONE_AT_FIRST" ] || [ "$DONE_AT_FIRST" -ge 32 ]; then
+  echo "FAIL: first window arrived with ${DONE_AT_FIRST:-no} of 64 trajectories already done — the sharded job is not streaming" >&2
+  exit 1
+fi
+echo "OK: first window streamed with $DONE_AT_FIRST/64 trajectories done"
