@@ -1,6 +1,7 @@
 // The bench-regression gate: a small set of pinned hot-path benchmarks
-// (SSA stepping, quantum batching, window analysis) measured without the
-// testing framework, compared against a committed BENCH_BASELINE.json.
+// (SSA stepping, quantum batching, window analysis in full and as one of a
+// stream of overlapping windows) measured without the testing framework,
+// compared against a committed BENCH_BASELINE.json.
 // Machine-speed differences between the committing host and the CI runner
 // are normalised out by a fixed arithmetic calibration workload measured
 // alongside the benchmarks: ns/op comparisons use the calibration-scaled
@@ -129,6 +130,25 @@ func MeasureBaseline() (*BaselineReport, error) {
 		pt.NsPerOp = measureNs(300*time.Millisecond, run)
 		pt.AllocsPerOp = allocsPerRun(50, run)
 		rep.Benchmarks["analyse_window"] = pt
+
+		// analyse_window_overlap: the same window as one of a step-1
+		// stream — the stat farm's path for sliding windows: one fresh cut
+		// summarised, the other fifteen assembled from the windows before.
+		asm := core.NewAssembler(len(w.Cuts))
+		slide := func() {
+			fresh := 1
+			if w.Start == 0 {
+				fresh = len(w.Cuts)
+			}
+			if err := core.AnalyseWindowFresh(&ws, eng, w, species, cfg, fresh); err != nil {
+				panic(err)
+			}
+			asm.Assemble(&ws, fresh)
+			w.Start++
+		}
+		pt.NsPerOp = measureNs(300*time.Millisecond, slide)
+		pt.AllocsPerOp = allocsPerRun(50, slide)
+		rep.Benchmarks["analyse_window_overlap"] = pt
 	}
 	return rep, nil
 }

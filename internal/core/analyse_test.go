@@ -46,7 +46,8 @@ func analyseCfg() Config {
 // TestAnalyseWindowAllocationFree pins the tentpole property of the
 // statistical engine: with a reused WindowStat and a warmed stats.Engine,
 // analysing a window of stable shape — moments, medians, period detection
-// and k-means all enabled — performs zero allocations.
+// and k-means all enabled — performs zero allocations, in the full form and
+// in the incremental one (one fresh cut per window, assembled in order).
 func TestAnalyseWindowAllocationFree(t *testing.T) {
 	w := syntheticWindow(16, 64, 3)
 	species := []int{0, 1, 2}
@@ -64,6 +65,27 @@ func TestAnalyseWindowAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AnalyseWindowInto allocates %.1f times per window in steady state, want 0", allocs)
+	}
+
+	// The sliding stream: the same cuts one step further on each time. The
+	// warm-up takes the assembler's ring once round.
+	asm := NewAssembler(len(w.Cuts))
+	slide := func() {
+		fresh := 1
+		if w.Start == 0 {
+			fresh = len(w.Cuts)
+		}
+		if err := AnalyseWindowFresh(&ws, eng, w, species, cfg, fresh); err != nil {
+			t.Fatal(err)
+		}
+		asm.Assemble(&ws, fresh)
+		w.Start++
+	}
+	for i := 0; i <= len(w.Cuts); i++ {
+		slide()
+	}
+	if allocs := testing.AllocsPerRun(50, slide); allocs != 0 {
+		t.Fatalf("AnalyseWindowFresh + Assemble allocate %.1f times per window in steady state, want 0", allocs)
 	}
 }
 

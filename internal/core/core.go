@@ -311,11 +311,17 @@ func analysisPipeline(cfg Config, species []int, cutsEmitted *atomic.Int64) ff.N
 		}
 	})
 
-	// Stage 4: generation of sliding windows of trajectory cuts.
-	windowNode := ff.NodeFunc[window.Cut, window.Window](func(ctx context.Context, in <-chan window.Cut, emit ff.Emit[window.Window]) error {
+	// Stage 4: generation of sliding windows of trajectory cuts. Windows
+	// leave here in order, so this is where each one learns how many of its
+	// trailing cuts no earlier window has summarised.
+	windowNode := ff.NodeFunc[window.Cut, freshWindow](func(ctx context.Context, in <-chan window.Cut, emit ff.Emit[freshWindow]) error {
 		slider, err := window.NewSlider(cfg.WindowSize, cfg.WindowStep)
 		if err != nil {
 			return err
+		}
+		var frontier CutFrontier
+		emitFresh := func(w window.Window) error {
+			return emit(freshWindow{w: w, fresh: frontier.Fresh(w.Start, len(w.Cuts))})
 		}
 		for {
 			select {
@@ -323,9 +329,9 @@ func analysisPipeline(cfg Config, species []int, cutsEmitted *atomic.Int64) ff.N
 				return ctx.Err()
 			case c, ok := <-in:
 				if !ok {
-					return slider.Flush(func(w window.Window) error { return emit(w) })
+					return slider.Flush(emitFresh)
 				}
-				if err := slider.Push(c, func(w window.Window) error { return emit(w) }); err != nil {
+				if err := slider.Push(c, emitFresh); err != nil {
 					return err
 				}
 			}
@@ -335,19 +341,40 @@ func analysisPipeline(cfg Config, species []int, cutsEmitted *atomic.Int64) ff.N
 	// Stage 5: farm of statistical engines, gathered in window order. Each
 	// worker owns a reusable stats.Engine, so the per-window scratch
 	// (k-means arenas, quantile buffers, period traces) is allocated once
-	// per engine, not once per window.
-	statFarm := ff.NewFarm(cfg.StatEngines, func(int) ff.Worker[window.Window, WindowStat] {
+	// per engine, not once per window. An engine summarises only its
+	// window's fresh cuts; the sequential step behind the ordered gather
+	// fills the rows of the cuts earlier windows summarised.
+	statFarm := ff.NewFarm(cfg.StatEngines, func(int) ff.Worker[freshWindow, freshStat] {
 		eng := stats.NewEngine()
-		return ff.WorkerFunc[window.Window, WindowStat](func(_ context.Context, w window.Window, emit ff.Emit[WindowStat]) error {
-			var ws WindowStat
-			if err := AnalyseWindowInto(&ws, eng, w, species, cfg); err != nil {
+		return ff.WorkerFunc[freshWindow, freshStat](func(_ context.Context, fw freshWindow, emit ff.Emit[freshStat]) error {
+			fs := freshStat{fresh: fw.fresh}
+			if err := AnalyseWindowFresh(&fs.ws, eng, fw.w, species, cfg, fw.fresh); err != nil {
 				return err
 			}
-			return emit(ws)
+			return emit(fs)
 		})
 	}, ff.WithOrdered())
+	asm := NewAssembler(cfg.WindowSize)
+	assemble := ff.MapNode(func(fs freshStat) (WindowStat, error) {
+		asm.Assemble(&fs.ws, fs.fresh)
+		return fs.ws, nil
+	})
 
-	return ff.Compose(ff.Compose(alignNode, windowNode), statFarm)
+	return ff.Compose(ff.Compose(ff.Compose(alignNode, windowNode), statFarm), assemble)
+}
+
+// freshWindow is a window on its way to the stat farm together with its
+// CutFrontier.Fresh count.
+type freshWindow struct {
+	w     window.Window
+	fresh int
+}
+
+// freshStat is that window's analysis on its way to the Assembler, the
+// count still with it.
+type freshStat struct {
+	ws    WindowStat
+	fresh int
 }
 
 // ResolveSpecies validates cfg.Species against a probe simulator built
@@ -412,7 +439,21 @@ func AnalyseWindow(w window.Window, species []int, cfg Config) (WindowStat, erro
 // calls. Deterministic: the same window, species and config produce the
 // identical WindowStat on any engine, which is what lets a farm of these
 // run windows out of order and reassemble results by sequence number.
+//
+// It is AnalyseWindowFresh with every cut fresh.
 func AnalyseWindowInto(ws *WindowStat, eng *stats.Engine, w window.Window, species []int, cfg Config) error {
+	return AnalyseWindowFresh(ws, eng, w, species, cfg, len(w.Cuts))
+}
+
+// AnalyseWindowFresh is AnalyseWindowInto for a stream of overlapping
+// windows: it summarises only the window's trailing fresh cuts (see
+// CutFrontier) and leaves the PerCut and Median rows of the older ones
+// sized but unset, for an Assembler to fill from the windows that did
+// summarise them. Everything that is a function of the whole window —
+// header, period detection, k-means — is computed as in the full form, so
+// assembling the result yields exactly what AnalyseWindowInto returns.
+// The same reuse and determinism contract holds, 0 allocations included.
+func AnalyseWindowFresh(ws *WindowStat, eng *stats.Engine, w window.Window, species []int, cfg Config, fresh int) error {
 	ws.Start = w.Start
 	ws.NumCuts = len(w.Cuts)
 	ws.Species = species
@@ -423,6 +464,9 @@ func AnalyseWindowInto(ws *WindowStat, eng *stats.Engine, w window.Window, speci
 		ws.KMeans = nil
 		return window.ErrNoCuts
 	}
+	if fresh < 0 || fresh > len(w.Cuts) {
+		return fmt.Errorf("core: %d fresh cuts in a window of %d", fresh, len(w.Cuts))
+	}
 	ws.TimeLo = w.Cuts[0].Time
 	ws.TimeHi = w.Cuts[len(w.Cuts)-1].Time
 	nTraj := w.Cuts[0].NumTrajectories()
@@ -432,20 +476,11 @@ func AnalyseWindowInto(ws *WindowStat, eng *stats.Engine, w window.Window, speci
 	for k, c := range w.Cuts {
 		ws.PerCut[k] = growRow(ws.PerCut[k], len(species))
 		ws.Median[k] = growRow(ws.Median[k], len(species))
-		for si, sp := range species {
-			var acc stats.Welford
-			scratch := eng.Floats(len(c.States))
-			for _, st := range c.States {
-				v := float64(st[sp])
-				acc.Add(v)
-				scratch = append(scratch, v)
-			}
-			ws.PerCut[k][si] = acc.Snapshot()
-			med, err := stats.QuantileInPlace(scratch, 0.5)
-			if err != nil {
-				return err
-			}
-			ws.Median[k][si] = med
+		if k < len(w.Cuts)-fresh {
+			continue
+		}
+		if err := summariseCut(ws.PerCut[k], ws.Median[k], eng, c, species); err != nil {
+			return err
 		}
 	}
 
@@ -497,6 +532,29 @@ func AnalyseWindowInto(ws *WindowStat, eng *stats.Engine, w window.Window, speci
 		}
 	} else {
 		ws.KMeans = nil
+	}
+	return nil
+}
+
+// summariseCut computes the per-cut part of a WindowStat — for each
+// analysed species, the moments and the median across the ensemble — into
+// the cut's PerCut and Median rows. It is a pure function of the one cut,
+// which is why overlapping windows can share its result.
+func summariseCut(moments []stats.Moments, median []float64, eng *stats.Engine, c window.Cut, species []int) error {
+	for si, sp := range species {
+		var acc stats.Welford
+		scratch := eng.Floats(len(c.States))
+		for _, st := range c.States {
+			v := float64(st[sp])
+			acc.Add(v)
+			scratch = append(scratch, v)
+		}
+		moments[si] = acc.Snapshot()
+		med, err := stats.QuantileInPlace(scratch, 0.5)
+		if err != nil {
+			return err
+		}
+		median[si] = med
 	}
 	return nil
 }

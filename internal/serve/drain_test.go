@@ -306,6 +306,58 @@ func TestDrainRacesExpirySteal(t *testing.T) {
 	}
 }
 
+// TestHandoffNudgeBurstTakesOverOnce pins that one replica takes a job
+// over once however many readers of its stealable lease ask it to: a burst
+// of adopt nudges (standing in for a nudge racing the failover scan) all see
+// A's lease as stealable, and acquiring a lease one already holds succeeds,
+// so without serialisation each later takeover would resume the job again
+// beside the first and the copies would fence each other at the finish.
+func TestHandoffNudgeBurstTakesOverOnce(t *testing.T) {
+	_, refURL := newRemoteServer(t, 0, serve.Options{})
+	_, refDigest := runToDigest(t, refURL, longWalkSpec(24))
+
+	dir := t.TempDir()
+	_, aURL := newReplicaServer(t, dir, "a", serve.Options{
+		Resolver:      snapWalkResolver(2 * time.Millisecond),
+		LeaseTTL:      500 * time.Millisecond,
+		FailoverScan:  time.Hour,
+		RebalanceScan: -1,
+	})
+	st := submitJob(t, aURL, longWalkSpec(24))
+	waitWindows(t, aURL, st.ID, 1)
+
+	inj := chaos.New(42)
+	inj.Arm(chaos.LeaseExpireEarly, chaos.Rule{Prob: 1})
+	_, bURL := newReplicaServer(t, dir, "b", serve.Options{
+		Resolver:      snapWalkResolver(0),
+		LeaseTTL:      500 * time.Millisecond,
+		FailoverScan:  time.Hour, // only the nudges below move the job
+		RebalanceScan: -1,
+		Chaos:         inj,
+	})
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(bURL+"/leases/"+st.ID+"/adopt", "application/json", nil)
+			if err == nil {
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+
+	waitForState(t, bURL, st.ID, serve.StateDone)
+	if _, digest := runStatusAndDigest(t, bURL, st.ID); digest != refDigest {
+		t.Fatalf("digest after the nudge burst %s != reference %s", digest, refDigest)
+	}
+	if got := metricValue(t, fetchMetrics(t, bURL), "cwc_lease_takeovers_total"); got != 1 {
+		t.Fatalf("cwc_lease_takeovers_total = %v on b, want 1", got)
+	}
+}
+
 // TestChaosHandoffRequesterDiesFallsBackToFailover is the chaos
 // acceptance pin for the transfer protocol: requester B gets owner A to
 // release a job reserved for it, then "dies" (HandoffCrash) before

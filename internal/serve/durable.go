@@ -36,6 +36,11 @@ func (s *Server) recover() {
 				continue
 			}
 		}
+		// The resumed job journals into the store's record while its tasks
+		// are still being built from it: resume from a copy.
+		if snap, ok := s.store.Snapshot(rec.ID); ok {
+			rec = snap
+		}
 		if err := s.resumeJob(rec); err != nil {
 			// The failure is a real outcome: journal it so the next
 			// restart does not retry a job that cannot be rebuilt.
@@ -151,7 +156,8 @@ func failedRecovery(rec *store.JobRecord, err error) *Job {
 // every trajectory restarts from its newest checkpoint at or below that
 // cut (or from its seed, deduplicated by the resume filter in
 // Job.accept), and the window stream continues the crashed run's
-// sequence bit-identically.
+// sequence bit-identically. rec must be a store.Snapshot: it is read after
+// the job has started journaling.
 func (s *Server) resumeJob(rec *store.JobRecord) error {
 	var spec JobSpec
 	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
@@ -194,15 +200,6 @@ func (s *Server) resumeJob(rec *store.JobRecord) error {
 	job.onTerminal = s.jobFinished
 	job.initPersist(s.store, s.opts.CheckpointSamples)
 	job.initResume(rec)
-	// Pick each trajectory's resume checkpoint now, before the job's
-	// goroutines start journaling fresh checkpoints into the same record
-	// (the record is only safe to read while the job is not running).
-	resumeCkpts := make(map[int]store.Checkpoint)
-	for i := 0; i < cfg.Trajectories; i++ {
-		if cp, ok := rec.BestCheckpoint(i, job.resumeCut); ok {
-			resumeCkpts[i] = cp
-		}
-	}
 	// Recovered jobs resume on the local pool only: checkpoints are local
 	// engine snapshots, and at boot no remote worker is connected yet
 	// anyway. New submissions shard across the cluster as usual.
@@ -211,7 +208,7 @@ func (s *Server) resumeJob(rec *store.JobRecord) error {
 		if err != nil {
 			return nil, err
 		}
-		if cp, ok := resumeCkpts[i]; ok {
+		if cp, ok := rec.BestCheckpoint(i, job.resumeCut); ok {
 			if rerr := t.Restore(cp.Sim); rerr != nil {
 				// A stale or incompatible checkpoint is not fatal: fall
 				// back to replaying the trajectory from its seed.

@@ -57,7 +57,9 @@ type JobSpec struct {
 	Trajectories int `json:"trajectories"`
 	// End is the simulated horizon.
 	End float64 `json:"end"`
-	// Quantum is the simulated time per scheduling step (0 = one period).
+	// Quantum is the simulated time per scheduling step (0 = one period):
+	// the scheduling granularity floor — the pool coalesces cheap quanta
+	// up to a window boundary (see poolWorker).
 	Quantum float64 `json:"quantum,omitempty"`
 	// Period is the sampling interval τ.
 	Period float64 `json:"period"`
@@ -306,6 +308,7 @@ type Job struct {
 	parked      []poolTask          // congestion-deferred tasks, off the farm
 	pending     map[int]pendingStat // reorder buffer: seq → analysed window
 	nextPublish int                 // next window sequence number to publish
+	asm         *core.Assembler     // completes windows as they publish, in order
 	subAll      bool                // windower submitted every window
 	subTotal    int                 // total windows submitted (valid once subAll)
 	results     []core.WindowStat   // ring of the most recent windows
@@ -320,12 +323,14 @@ type Job struct {
 }
 
 // pendingStat is one analysed window parked in the reorder buffer until
-// every earlier window has been published. at stamps its arrival for the
-// reorder-wait histogram.
+// every earlier window has been published, with the fresh count it was
+// analysed with (what the assembler completes it by). at stamps its arrival
+// for the reorder-wait histogram.
 type pendingStat struct {
-	ws  core.WindowStat
-	lat time.Duration
-	at  time.Time
+	ws    core.WindowStat
+	fresh int
+	lat   time.Duration
+	at    time.Time
 }
 
 func newJob(id string, spec JobSpec, cfg core.Config, species []int, samplesPerTraj int, opts Options, poolWorkers, statInflight int) *Job {
@@ -380,6 +385,7 @@ func newJob(id string, spec JobSpec, cfg core.Config, species []int, samplesPerT
 		winP50:      p50,
 		winP95:      p95,
 		pending:     make(map[int]pendingStat),
+		asm:         core.NewAssembler(cfg.WindowSize),
 		subs:        make(map[*subscriber]struct{}),
 	}
 }
@@ -649,9 +655,9 @@ func (j *Job) accept(_ context.Context, d delivery) error {
 // simulating into a queue its analysis cannot drain.
 func (j *Job) congested() bool { return j.in.congested() }
 
-// noteDeferred counts one deferred simulation quantum, in the job's
-// progress (per-job JSON) and the service-wide counter, from the single
-// choke point where the pool parks a quantum.
+// noteDeferred counts one deferred dispatch (the slice a parked task would
+// have run), in the job's progress (per-job JSON) and the service-wide
+// counter, from the single choke point where the pool parks a task.
 func (j *Job) noteDeferred() {
 	j.deferred.Add(1)
 	j.metrics.deferred.Inc()
@@ -718,6 +724,9 @@ func (j *Job) runWindower(farm *statFarm) {
 		return
 	}
 	seq := j.startSeq
+	// The first window of this run — fresh job, recovery or adoption alike —
+	// finds the frontier behind it and summarises all of its cuts.
+	var frontier core.CutFrontier
 	emit := func(w window.Window) error {
 		// Fairness cap: hold at most statSlots windows on the shared farm.
 		select {
@@ -725,7 +734,7 @@ func (j *Job) runWindower(farm *statFarm) {
 		case <-j.ctx.Done():
 			return j.ctx.Err()
 		}
-		if err := farm.submit(j, getWinTask(j, seq, w)); err != nil {
+		if err := farm.submit(j, getWinTask(j, seq, frontier.Fresh(w.Start, len(w.Cuts)), w)); err != nil {
 			return err
 		}
 		seq++
@@ -799,15 +808,17 @@ func (j *Job) statSlotFree() { <-j.statSlots }
 // completeStat receives one analysed window from a stat engine, parks it
 // in the reorder buffer, and publishes every consecutively-ready window in
 // window order — the ordered reassembly that makes N engines
-// indistinguishable from 1 in the result stream.
-func (j *Job) completeStat(seq int, ws core.WindowStat, lat time.Duration) {
+// indistinguishable from 1 in the result stream. Being the first point
+// where windows are back in order, it is also where each one is completed
+// with the cut summaries of the windows before it.
+func (j *Job) completeStat(seq int, ws core.WindowStat, fresh int, lat time.Duration) {
 	j.statSlotFree()
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.pending[seq] = pendingStat{ws: ws, lat: lat, at: time.Now()}
+	j.pending[seq] = pendingStat{ws: ws, fresh: fresh, lat: lat, at: time.Now()}
 	for {
 		p, ok := j.pending[j.nextPublish]
 		if !ok {
@@ -816,6 +827,7 @@ func (j *Job) completeStat(seq int, ws core.WindowStat, lat time.Duration) {
 		delete(j.pending, j.nextPublish)
 		j.nextPublish++
 		j.metrics.reorderWait.Observe(time.Since(p.at))
+		j.asm.Assemble(&p.ws, p.fresh)
 		j.publishLocked(p.ws, p.lat)
 	}
 	done := j.subAll && j.nextPublish == j.subTotal

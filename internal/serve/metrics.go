@@ -34,7 +34,7 @@ type serveMetrics struct {
 	// Stage-boundary latency histograms, in pipeline order.
 	admissionWait *obs.Histogram // tenant admission queue: enqueue → dispatch
 	schedWait     *obs.Histogram // pool scheduler queue: push → pop-to-dispatch
-	localQuantum  *obs.Histogram // local pool quantum-batch execution
+	localQuantum  *obs.Histogram // local pool quantum-batch execution (per-slice mean, once per quantum)
 	remoteQuantum *obs.Histogram // remote quantum-batch execution (worker-reported per-slab mean)
 	remoteRTT     *obs.Histogram // remote round trip: slab grant → result delivery
 	ingressWait   *obs.Histogram // ingress-ring residency: collector push → windower pop
@@ -48,6 +48,7 @@ type serveMetrics struct {
 	spilled      *obs.Counter // batches spilled from a hard-bounded ingress ring
 	requeued     *obs.Counter // slabs requeued off dead/timed-out workers
 	windows      *obs.Counter // windows published in order
+	cutSummaries *obs.Counter // cuts summarised by the stat farm (once each)
 	spansDropped *obs.Counter // trace spans discarded at the per-job cap
 
 	// Result-cache counters (the single source for GET /cache and
@@ -104,6 +105,8 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		"Slabs requeued off dead or timed-out remote workers.")
 	m.windows = reg.Counter("cwc_windows_published_total",
 		"Windows published in order across all jobs.")
+	m.cutSummaries = reg.Counter("cwc_cut_summaries_total",
+		"Cuts summarised (per-species ensemble moments and median) by the stat farm: each cut once, however many windows contain it.")
 	m.spansDropped = reg.Counter("cwc_trace_dropped_spans_total",
 		"Trace spans discarded because a job's span log hit its cap.")
 

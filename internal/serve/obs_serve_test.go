@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,55 @@ func TestMetricsCoverPipelineStages(t *testing.T) {
 	if !strings.Contains(text, fmt.Sprintf("cwc_windows_published_total %d", slowSpecWindows)) {
 		t.Errorf("cwc_windows_published_total != %d in:\n%s", slowSpecWindows,
 			grepLines(text, "cwc_windows_published_total"))
+	}
+}
+
+// metricValue reads one series off the exposition text.
+func metricValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, l := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(l, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
+}
+
+// TestMetricsCountCutSummariesOnceAndQuantaPerQuantum pins the two counts the
+// sliding-window job makes checkable from outside: every cut is summarised
+// exactly once however many windows contain it, and a slice of n cheap
+// quanta is still n quanta to every counter and histogram. (How few trips
+// through the scheduler queue that takes depends on the clock here; the
+// slice tests pin it with the clock out of the way.)
+func TestMetricsCountCutSummariesOnceAndQuantaPerQuantum(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, 0, serve.Options{Workers: 2, StatEngines: 2})
+	spec := serve.JobSpec{Model: "sir", Omega: 100, Trajectories: 16, End: 12, Period: 0.5,
+		WindowSize: 8, WindowStep: 1, KMeansK: 2, PeriodHalfWin: 1, Seed: 5}
+	st := submitJob(t, ts.URL, spec)
+	waitForState(t, ts.URL, st.ID, serve.StateDone)
+
+	text := fetchMetrics(t, ts.URL)
+	const cuts, windows = 25, 18 // samples at 0, 0.5, …, 12; windows of 8 starting at cuts 0…17
+	if got := metricValue(t, text, "cwc_windows_published_total"); got != windows {
+		t.Fatalf("cwc_windows_published_total = %v, want %d", got, windows)
+	}
+	if got := metricValue(t, text, "cwc_cut_summaries_total"); got != cuts {
+		t.Fatalf("cwc_cut_summaries_total = %v for %d cuts in %d windows of 8, want one per cut", got, cuts, windows)
+	}
+	quanta := metricValue(t, text, `cwc_quanta_total{site="local"}`)
+	if quanta < 16*cuts/2 {
+		t.Fatalf(`cwc_quanta_total{site="local"} = %v, implausibly few for 16 trajectories of %d samples`, quanta, cuts)
+	}
+	for _, series := range []string{`cwc_quantum_seconds_count{site="local"}`, `cwc_tenant_quanta_total{tenant="default"}`} {
+		if got := metricValue(t, text, series); got != quanta {
+			t.Fatalf(`%s = %v, want the %v of cwc_quanta_total{site="local"}`, series, got, quanta)
+		}
 	}
 }
 

@@ -11,19 +11,20 @@ import (
 
 // Pool is the shared simulation worker pool: one long-lived feedback farm
 // (ff.FarmFeedback) whose input stream stays open for the lifetime of the
-// service and carries quantum-sized tasks from every active job. On-demand
+// service and carries slice-sized tasks from every active job. On-demand
 // scheduling interleaves the jobs' tasks, so a newly submitted job starts
-// receiving service within one quantum of the running jobs, and the
+// receiving service within one slice of the running jobs, and the
 // feedback channel keeps load balanced across heavily uneven trajectories
 // exactly as in the batch pipeline.
 //
-// Workers emit one delivery per quantum — the whole quantum's samples in a
-// single batch — so the per-sample cost of crossing the farm collector is
-// amortised by the quantum/τ ratio. The collector routes each delivery to
+// Workers emit one delivery per slice — the samples of one or, when quanta
+// are cheap, several quanta of one trajectory in a single batch (see
+// poolWorker) — so the fixed cost of crossing the dispatcher and the farm
+// collector is amortised over a burst. The collector routes each delivery to
 // the owning job's ingress queue with a non-blocking push: a job whose
 // analysis lags cannot stall delivery to any other tenant. Backpressure on
 // a lagging job is applied at the *scheduling* step instead — a worker
-// that picks up a quantum for a congested job (ingress over its high-water
+// that picks up a task of a congested job (ingress over its high-water
 // mark) parks the task on the job, off the farm entirely, until the job's
 // windower drains below its low-water mark and reinjects it. The pool's
 // capacity flows to the tenants that can absorb results (a congested
@@ -57,7 +58,7 @@ type poolTask struct {
 }
 
 // delivery is one message from a pool worker to the routing collector: a
-// quantum's pooled batch of samples and/or a task-completion marker.
+// slice's pooled batch of samples and/or a task-completion marker.
 // Ownership of the batch transfers with the message — whoever stops its
 // forward progress (the drop paths in Job.accept, or the job's analysis
 // goroutine after pushing its samples) releases it back to the shared
@@ -81,9 +82,10 @@ type delivery struct {
 // NewPool starts a pool of the given width. queueDepth sets the farm's
 // internal channel capacities. queue, when non-nil, replaces the farm
 // dispatcher's pending-task FIFO with a pluggable scheduler (sched.FIFO or
-// sched.WFQ); every quantum — first dispatch and feedback reschedules
+// sched.WFQ); every slice — first dispatch and feedback reschedules
 // alike — passes through it, so a fair queue enforces tenant shares at
-// quantum granularity.
+// slice granularity: one dispatch slot is one quantum or one work budget
+// of cheap ones, whichever is more.
 func NewPool(workers, queueDepth int, queue ff.TaskQueue[poolTask]) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -101,8 +103,8 @@ func NewPool(workers, queueDepth int, queue ff.TaskQueue[poolTask]) *Pool {
 	}
 	farm := ff.NewFarmFeedback(workers, func(int) ff.FeedbackWorker[poolTask, delivery] {
 		var fb poolTask // per-worker feedback cell, read before the next DoStep
-		return ff.FeedbackWorkerFunc[poolTask, delivery](func(ctx context.Context, pt poolTask, emit ff.Emit[delivery]) (*poolTask, error) {
-			again, err := poolWorker(ctx, pt, emit)
+		return ff.FeedbackWorkerFunc[poolTask, delivery](func(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (*poolTask, error) {
+			again, err := poolWorker(pt, emit, sliceTime)
 			if !again || err != nil {
 				return nil, err
 			}
@@ -123,13 +125,33 @@ func NewPool(workers, queueDepth int, queue ff.TaskQueue[poolTask]) *Pool {
 	return p
 }
 
-// poolWorker advances one task by one simulation quantum, batching the
-// quantum's samples into a single pooled delivery. again reports whether
-// the task is unfinished (and short of its slab's until) and should
-// re-enter the dispatcher through the farm's feedback channel.
-func poolWorker(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (again bool, err error) {
-	job := pt.job
-	traj := pt.task.Traj
+// A slice — one task's stay on a worker — is bounded by a fixed amount of
+// work, so that cheap quanta share the fixed cost of a trip through the
+// dispatcher and the collector while an expensive quantum still leaves
+// after one. The budget is sliceSteps SSA steps (128 direct-method steps
+// are about 8 µs) or sliceTime on the worker, whichever is spent first:
+// the step count ends the slices of the built-in engines at the same
+// quantum on every run, the clock bounds an engine whose steps are few and
+// dear or not counted at all. Both sit below one neurospora quantum (~340
+// steps, 23–45 µs): a longer budget would coalesce those too, and a
+// newcomer's first window waits behind every slice queued ahead of it.
+const (
+	sliceSteps = 128
+	sliceTime  = 10 * time.Microsecond
+)
+
+// poolWorker advances one task by one slice: simulation quanta batched
+// into a single pooled delivery until the task is done, its slab's until
+// or the next window boundary is reached, or the slice's work budget
+// (sliceSteps steps or maxTime, sliceTime outside tests) is spent. Stopping
+// at window boundaries keeps dispatch breadth-first (no trajectory runs a
+// window ahead within one slice), which is what the slab scheduler's skew
+// bound and a prompt first window rely on. again reports whether the task
+// is unfinished (and short of its slab's until) and should re-enter the
+// dispatcher through the farm's feedback channel.
+func poolWorker(pt poolTask, emit ff.Emit[delivery], maxTime time.Duration) (again bool, err error) {
+	job, task := pt.job, pt.task
+	traj := task.Traj
 	if job.terminal() {
 		// The job was cancelled or failed while this task was queued:
 		// drop the task, but still report completion so the job's
@@ -138,7 +160,7 @@ func poolWorker(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (again b
 	}
 	if job.congested() {
 		// The job's ingress queue is over its high-water mark: simulating
-		// another quantum would only grow a backlog its analysis cannot
+		// another slice would only grow a backlog its analysis cannot
 		// drain. Park the task on the job — off the farm entirely, costing
 		// no worker time and no dispatcher churn — until the job's
 		// windower drains below the low-water mark (or the job turns
@@ -152,31 +174,48 @@ func poolWorker(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (again b
 	}
 	start := time.Now()
 	b := sim.GetBatch()
-	if err := pt.task.RunQuantumBatch(b); err != nil {
-		b.Release()
-		return false, emit(delivery{job: job, traj: traj, err: err, taskDone: true, slabEnd: true})
+	stop := (task.NextIndex()/job.cfg.WindowSize + 1) * job.cfg.WindowSize
+	if pt.until > 0 && pt.until < stop {
+		stop = pt.until
+	}
+	steps0 := task.Steps()
+	quanta := 0
+	for {
+		if err := task.RunQuantumBatch(b); err != nil {
+			b.Release()
+			return false, emit(delivery{job: job, traj: traj, err: err, taskDone: true, slabEnd: true})
+		}
+		quanta++
+		if task.Done() || task.NextIndex() >= stop {
+			break
+		}
+		if task.Steps()-steps0 >= sliceSteps || time.Since(start) >= maxTime {
+			break
+		}
 	}
 	if len(b.Samples) == 0 {
 		b.Release()
 		b = nil
 	}
 	if job.persist != nil {
-		// Durable store enabled: checkpoint the engine state at quantum
+		// Durable store enabled: checkpoint the engine state at slice
 		// boundaries (rate-limited per trajectory inside).
-		job.maybeCheckpoint(pt.task)
+		job.maybeCheckpoint(task)
 	}
 	if job.tenantQuanta != nil {
-		job.tenantQuanta.Add(1)
+		job.tenantQuanta.Add(int64(quanta))
 	}
+	// Accounting stays per quantum, as for a remote slab: counters add the
+	// slice's quanta and the histogram takes their mean once for each.
 	elapsed := time.Since(start)
-	job.metrics.localQuantum.Observe(elapsed)
-	job.metrics.quantaLocal.Inc()
-	job.obsTenantQuanta.Inc()
-	d := delivery{job: job, traj: traj, batch: b, elapsed: elapsed}
-	if pt.task.Done() {
-		d.taskDone, d.dead, d.steps = true, pt.task.Dead(), pt.task.Steps()
+	job.metrics.localQuantum.ObserveN(elapsed/time.Duration(quanta), quanta)
+	job.metrics.quantaLocal.Add(uint64(quanta))
+	job.obsTenantQuanta.Add(uint64(quanta))
+	d := delivery{job: job, traj: traj, batch: b, elapsed: elapsed, quanta: quanta}
+	if task.Done() {
+		d.taskDone, d.dead, d.steps = true, task.Dead(), task.Steps()
 	}
-	d.slabEnd = d.taskDone || (pt.until > 0 && pt.task.NextIndex() >= pt.until)
+	d.slabEnd = d.taskDone || (pt.until > 0 && task.NextIndex() >= pt.until)
 	if err := emit(d); err != nil {
 		return false, err
 	}

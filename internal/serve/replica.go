@@ -125,6 +125,13 @@ func (s *Server) takeover(l lease.Lease) {
 	if closed || s.draining.Load() {
 		return
 	}
+	s.takeoverMu.Lock()
+	defer s.takeoverMu.Unlock()
+	if _, ours := s.leases.Held(l.Job); ours {
+		// l was read before another takeover of ours won the job; Acquire
+		// would re-acquire our own lease and resume the job a second time.
+		return
+	}
 	rec, ok := s.peekRecord(l.Job)
 	if !ok || rec.Terminal != "" {
 		// Nothing to drive: terminal jobs are served by peeking the
@@ -154,6 +161,12 @@ func (s *Server) takeover(l lease.Lease) {
 		}
 	}
 	if err := s.store.Adopt(rec); err != nil {
+		s.leases.Release(l.Job)
+		return
+	}
+	// The store now appends to rec: from here on read only a snapshot.
+	rec, ok = s.store.Snapshot(l.Job)
+	if !ok {
 		s.leases.Release(l.Job)
 		return
 	}

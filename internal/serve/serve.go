@@ -382,6 +382,11 @@ type Server struct {
 	// drainMu serialises Drain passes (SIGTERM racing POST /drain) so
 	// each held lease is handed off exactly once.
 	drainMu sync.Mutex
+	// takeoverMu serialises takeovers: the failover scan and a draining
+	// peer's adopt nudge may both have read the same stealable lease, and
+	// the second must find the job already ours instead of resuming it
+	// again beside the first.
+	takeoverMu sync.Mutex
 
 	// replicaStop/replicaWG bound the lease renew, failover-scan and
 	// rebalance loops; Close signals and waits before closing the store

@@ -16,20 +16,23 @@ import (
 // deep copy of the window's cuts (the job's stream recycles its cut
 // storage the moment the window was submitted) plus the per-job sequence
 // number that lets the job's reorder buffer republish results in window
-// order however the engines interleave. Tasks are pooled; capture/release
-// keep the copy allocation-free once warm.
+// order however the engines interleave, and the number of trailing cuts
+// this window is the first to contain (core.CutFrontier) — the only ones
+// its engine summarises. Tasks are pooled; capture/release keep the copy
+// allocation-free once warm.
 type winTask struct {
-	job *Job
-	seq int
-	buf window.CopyBuffer
-	win window.Window
+	job   *Job
+	seq   int
+	fresh int
+	buf   window.CopyBuffer
+	win   window.Window
 }
 
 var winTaskPool = sync.Pool{New: func() any { return new(winTask) }}
 
-func getWinTask(job *Job, seq int, w window.Window) *winTask {
+func getWinTask(job *Job, seq, fresh int, w window.Window) *winTask {
 	t := winTaskPool.Get().(*winTask)
-	t.job, t.seq = job, seq
+	t.job, t.seq, t.fresh = job, seq, fresh
 	t.win = t.buf.Capture(w)
 	return t
 }
@@ -45,8 +48,11 @@ func (t *winTask) release() {
 // jobs feed through one queue. Each engine owns a reusable stats.Engine
 // (and a reused WindowStat is *not* possible here — results are retained
 // by result rings and subscribers — so the retained struct is allocated
-// per window while all analysis scratch is reused). Window order is
-// restored per job by Job.completeStat; fairness across tenants comes from
+// per window while all analysis scratch is reused). An engine summarises
+// only its window's fresh cuts; window order is restored per job by
+// Job.completeStat, whose in-order publish loop also fills in the cut
+// summaries earlier windows computed (core.Assembler), so everything from
+// publishLocked on sees complete windows. Fairness across tenants comes from
 // the FIFO queue plus the per-job in-flight cap (Job.statSlots), which
 // stops one heavy tenant from occupying every engine.
 type statFarm struct {
@@ -144,7 +150,7 @@ func (f *statFarm) engine() {
 }
 
 func (f *statFarm) analyse(eng *stats.Engine, t *winTask) {
-	job, seq := t.job, t.seq
+	job, seq, fresh := t.job, t.seq, t.fresh
 	if job.terminal() {
 		t.release()
 		job.statSlotFree()
@@ -157,16 +163,17 @@ func (f *statFarm) analyse(eng *stats.Engine, t *winTask) {
 	}
 	start := time.Now()
 	var ws core.WindowStat
-	err := core.AnalyseWindowInto(&ws, eng, t.win, job.species, job.cfg)
+	err := core.AnalyseWindowFresh(&ws, eng, t.win, job.species, job.cfg, fresh)
 	lat := time.Since(start)
 	job.metrics.analyse.Observe(lat)
+	job.metrics.cutSummaries.Add(uint64(fresh))
 	t.release()
 	if err != nil {
 		job.statSlotFree()
 		job.fail(err)
 		return
 	}
-	job.completeStat(seq, ws, lat)
+	job.completeStat(seq, ws, fresh, lat)
 }
 
 // Close stops the farm: it refuses new submits, waits out the in-flight

@@ -191,3 +191,63 @@ func TestChaosFsyncStallStillDurable(t *testing.T) {
 		t.Fatalf("recovered %d jobs after stalled fsyncs, want 3", got)
 	}
 }
+
+// A job adopted back onto a replica can still have stragglers of its
+// previous incarnation journaling checkpoints and windows into the adopted
+// record, so the resume path reads the record through Snapshot. The
+// straggler and the adopter run concurrently here; the race detector
+// (-race -count=20 in CI) is the assertion.
+func TestSnapshotWhileStragglerCheckpoints(t *testing.T) {
+	const id = "job-a-000001"
+	s := openStore(t, t.TempDir(), Options{RetainWindows: 4})
+	if err := s.AppendSubmit(id, time.Unix(0, 77), json.RawMessage(`{}`), "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendCheckpoint(id, 0, 8, []byte{8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 20
+	straggler := make(chan error, 1)
+	go func() {
+		for i := 0; i < 2*rounds; i++ {
+			if err := s.AppendCheckpoint(id, 1+i%3, 16+i, []byte{byte(i)}); err != nil {
+				straggler <- err
+				return
+			}
+			if err := s.AppendWindow(id, i, testWindow(i)); err != nil {
+				straggler <- err
+				return
+			}
+		}
+		straggler <- nil
+	}()
+	for i := 0; i < rounds; i++ {
+		recs, err := ReadJournal(s.dir, Options{RetainWindows: 4})
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("ReadJournal = %d records, %v", len(recs), err)
+		}
+		if err := s.Adopt(recs[0]); err != nil {
+			t.Fatal(err)
+		}
+		snap, ok := s.Snapshot(id)
+		if !ok {
+			t.Fatal("adopted job has no snapshot")
+		}
+		if cp, ok := snap.BestCheckpoint(0, 8); !ok || cp.NextIdx != 8 {
+			t.Fatalf("round %d: checkpoint at or below 8 = %+v, %v", i, cp, ok)
+		}
+		if got := snap.FirstRetained + len(snap.Windows); got != snap.WindowCount {
+			t.Fatalf("round %d: snapshot retains windows up to %d of %d", i, got, snap.WindowCount)
+		}
+	}
+	if err := <-straggler; err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Snapshot("job-unknown"); ok {
+		t.Fatal("snapshot of an unknown job")
+	}
+}

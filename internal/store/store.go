@@ -94,9 +94,10 @@ type Checkpoint struct {
 	Sim []byte
 }
 
-// JobRecord is the recovered state of one job. After Open, records are
-// owned by the recovery path; the store keeps appending to the same
-// record as the resumed job makes new progress.
+// JobRecord is the recovered state of one job. The store keeps appending
+// to the records it holds (those of Recovered, and any record handed to
+// Adopt) as their jobs make progress, so once a job may be running such a
+// record must be read through Snapshot, never directly.
 type JobRecord struct {
 	ID          string
 	Spec        json.RawMessage
@@ -329,7 +330,7 @@ func (s *Store) apply(ev *event) {
 
 // Recovered returns the replayed job records in submission order. Call
 // once at boot, before new appends; the store keeps updating the same
-// records as resumed jobs progress.
+// records as resumed jobs progress (see Snapshot).
 func (s *Store) Recovered() []*JobRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -338,6 +339,28 @@ func (s *Store) Recovered() []*JobRecord {
 		out = append(out, s.jobs[id])
 	}
 	return out
+}
+
+// Snapshot returns a private copy of job id's record, taken under the
+// store's lock: the resume path reads its frontier, retained windows and
+// checkpoint ladders from it while pool workers and stat engines of a
+// previous incarnation of the job may still be appending to the store's
+// own record. Window contents and checkpoint blobs are immutable once
+// journaled and are shared, not copied.
+func (s *Store) Snapshot(id string) (*JobRecord, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	snap := *rec
+	snap.Windows = append([]core.WindowStat(nil), rec.Windows...)
+	snap.ckpts = make(map[int][]Checkpoint, len(rec.ckpts))
+	for traj, ladder := range rec.ckpts {
+		snap.ckpts[traj] = append([]Checkpoint(nil), ladder...)
+	}
+	return &snap, true
 }
 
 // ReadJournal replays the journal under dir read-only and returns its
