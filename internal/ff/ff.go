@@ -8,8 +8,7 @@
 //     the spsc subpackage.
 //   - Core patterns: Compose (pipeline), Farm (task-farm with pluggable
 //     scheduling), FarmFeedback (farm whose workers can reschedule tasks
-//     back to the dispatcher), implemented here; the GPU-oriented
-//     stencilReduce pattern lives in the stencil subpackage.
+//     back to the dispatcher), implemented here.
 //   - High-level patterns: ParallelFor, Map, Reduce, MapReduce and
 //     DivideAndConquer in the parallel subpackage.
 //

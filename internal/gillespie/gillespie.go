@@ -361,18 +361,39 @@ func (p *program) apply(j int, state []int64) {
 // ResumInterval steps — every step by default, which keeps trajectories
 // bit-identical to the textbook O(R)-per-step implementation while still
 // skipping all the redundant rate evaluations.
+//
+// Everything a step writes — the struct itself (clock, step count, RNG
+// state, running total) and the state and propensity arrays — owns whole
+// cache lines (see lineSlice), so engines stepped on different cores never
+// contend for a line however their allocations fell.
 type Direct struct {
 	sys   *System
 	prog  *program
 	state []int64
 	now   float64
-	rng   *RNG
+	rng   RNG
 	props []float64
 	total float64
 	steps uint64
 
 	resumEvery int
 	sinceResum int
+
+	_ [8]byte // to 128 bytes, two whole lines: see TestEnginesFillWholeCacheLines
+}
+
+// cacheLine is the unit of cache coherence two cores contend for.
+const cacheLine = 64
+
+// lineSlice returns a zeroed slice of n 8-byte elements whose capacity is
+// rounded up to whole cache lines. A request of whole lines lands in a
+// size class that is itself whole lines, so the backing array starts on a
+// line boundary and shares no line with any other allocation: the
+// per-trajectory arrays a step writes cannot false-share with a
+// neighbouring trajectory's, which the feeder built a moment before.
+func lineSlice[T int64 | float64 | int](n int) []T {
+	const perLine = cacheLine / 8
+	return make([]T, n, (n+perLine-1)/perLine*perLine)
 }
 
 // DirectOption configures NewDirect.
@@ -405,11 +426,12 @@ func NewDirect(sys *System, seed int64, opts ...DirectOption) (*Direct, error) {
 	d := &Direct{
 		sys:        sys,
 		prog:       prog,
-		state:      append([]int64(nil), sys.Init...),
-		rng:        NewRNG(seed),
-		props:      make([]float64, len(sys.Reactions)),
+		state:      lineSlice[int64](len(sys.Init)),
+		props:      lineSlice[float64](len(sys.Reactions)),
 		resumEvery: 1,
 	}
+	copy(d.state, sys.Init)
+	d.rng.seed(seed)
 	for _, o := range opts {
 		o(d)
 	}

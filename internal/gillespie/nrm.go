@@ -11,12 +11,15 @@ import (
 // propensities actually changed (via a static dependency graph). For
 // networks with many loosely coupled channels it replaces the O(R) per-step
 // scan of the direct method with O(deps · log R).
+//
+// Like Direct, it lays out everything a step writes — the struct and all
+// five arrays — on cache lines of its own.
 type NextReaction struct {
 	sys   *System
 	prog  *program
 	state []int64
 	now   float64
-	rng   *RNG
+	rng   RNG
 	steps uint64
 
 	props []float64
@@ -24,6 +27,8 @@ type NextReaction struct {
 
 	heap []int // reaction indices ordered by times
 	pos  []int // reaction -> heap position
+
+	_ [24]byte // to 192 bytes, three whole lines: see TestEnginesFillWholeCacheLines
 }
 
 // NewNextReaction compiles the network (packed mass-action kernel +
@@ -39,13 +44,14 @@ func NewNextReaction(sys *System, seed int64) (*NextReaction, error) {
 	nr := &NextReaction{
 		sys:   sys,
 		prog:  prog,
-		state: append([]int64(nil), sys.Init...),
-		rng:   NewRNG(seed),
-		props: make([]float64, n),
-		times: make([]float64, n),
-		heap:  make([]int, n),
-		pos:   make([]int, n),
+		state: lineSlice[int64](len(sys.Init)),
+		props: lineSlice[float64](n),
+		times: lineSlice[float64](n),
+		heap:  lineSlice[int](n),
+		pos:   lineSlice[int](n),
 	}
+	copy(nr.state, sys.Init)
+	nr.rng.seed(seed)
 
 	for i := range sys.Reactions {
 		nr.props[i] = prog.eval(i, nr.state)

@@ -39,13 +39,19 @@ const (
 // uncorrelated streams.
 func NewRNG(seed int64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed sets r to the state NewRNG(seed) starts from — in place, so an
+// engine can hold its generator by value.
+func (r *RNG) seed(seed int64) {
 	s := uint64(seed)
 	r.hi = splitmix64(&s)
 	r.lo = splitmix64(&s) | 1
 	// Warm the state through one step so the first output already mixes
 	// both words.
 	r.Uint64()
-	return r
 }
 
 // splitmix64 is the standard seed expander.

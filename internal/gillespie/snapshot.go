@@ -120,7 +120,7 @@ func (r *snapReader) header(kind byte, rng *RNG) {
 // a few ULPs.
 func (d *Direct) Snapshot() ([]byte, error) {
 	var w snapWriter
-	w.header(snapKindDirect, d.rng)
+	w.header(snapKindDirect, &d.rng)
 	w.f64(d.now)
 	w.u64(d.steps)
 	w.i64s(d.state)
@@ -147,7 +147,7 @@ func (d *Direct) Restore(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	d.rng = &rng
+	d.rng = rng
 	d.now = now
 	d.steps = steps
 	copy(d.state, state)
@@ -167,7 +167,7 @@ func (d *Direct) Restore(data []byte) error {
 // draws). A restored engine continues the trajectory bit-identically.
 func (nr *NextReaction) Snapshot() ([]byte, error) {
 	var w snapWriter
-	w.header(snapKindNRM, nr.rng)
+	w.header(snapKindNRM, &nr.rng)
 	w.f64(nr.now)
 	w.u64(nr.steps)
 	w.i64s(nr.state)
@@ -213,7 +213,7 @@ func (nr *NextReaction) Restore(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	nr.rng = &rng
+	nr.rng = rng
 	nr.now = now
 	nr.steps = steps
 	copy(nr.state, state)

@@ -132,8 +132,8 @@ func NewPool(workers, queueDepth int, queue ff.TaskQueue[poolTask]) *Pool {
 // are about 8 µs) or sliceTime on the worker, whichever is spent first:
 // the step count ends the slices of the built-in engines at the same
 // quantum on every run, the clock bounds an engine whose steps are few and
-// dear or not counted at all. Both sit below one neurospora quantum (~340
-// steps, 23–45 µs): a longer budget would coalesce those too, and a
+// dear or not counted at all. Both sit below one neurospora quantum (≈ 290
+// steps, ≈ 25 µs): a longer budget would coalesce those too, and a
 // newcomer's first window waits behind every slice queued ahead of it.
 const (
 	sliceSteps = 128

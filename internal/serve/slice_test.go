@@ -196,7 +196,7 @@ func TestSliceCoalescesCheapQuantaUpToWindowBoundary(t *testing.T) {
 }
 
 // An expensive quantum is a slice of its own: the budget sits below one
-// neurospora quantum (~300 steps), so sim-heavy jobs are scheduled as
+// neurospora quantum (≈ 290 steps), so sim-heavy jobs are scheduled as
 // before. Only the odd quiet quantum, under 128 steps, takes the next one
 // along.
 func TestSliceLeavesExpensiveQuantaAlone(t *testing.T) {

@@ -179,6 +179,7 @@ func NewTask(traj int, s Simulator, end, quantum, period float64) (*Task, error)
 	if end <= 0 || quantum <= 0 || period <= 0 {
 		return nil, fmt.Errorf("sim: end, quantum and period must be positive (got %g, %g, %g)", end, quantum, period)
 	}
+	n := s.NumSpecies()
 	return &Task{
 		Traj:    traj,
 		End:     end,
@@ -186,7 +187,11 @@ func NewTask(traj int, s Simulator, end, quantum, period float64) (*Task, error)
 		Period:  period,
 		sim:     s,
 		lastIdx: int(math.Floor(end / period)),
-		scratch: make([]int64, s.NumSpecies()),
+		// Observe writes the scratch on every step. Capacity in whole 64-byte
+		// cache lines puts it in a size class of whole lines, so it shares
+		// no line with the task the pool's feeder built just before, which
+		// another worker may be stepping at the same moment.
+		scratch: make([]int64, n, (n+7)/8*8),
 	}, nil
 }
 
