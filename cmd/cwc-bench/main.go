@@ -7,7 +7,6 @@
 //	cwc-bench -exp fig3 -format csv
 //	cwc-bench -exp table1 -seed 7
 //	cwc-bench -exp pr3 -pr3-out BENCH_PR3.json   # stat-farm throughput report
-//	cwc-bench -exp pr4 -pr4-out BENCH_PR4.json   # local vs distributed throughput
 //	cwc-bench -write-baseline BENCH_BASELINE.json
 //	cwc-bench -compare BENCH_BASELINE.json       # exits 1 on >20% ns/op or any allocs/op regression
 package main
@@ -32,12 +31,11 @@ func main() {
 
 func run() error {
 	var (
-		exp           = flag.String("exp", "all", "experiment: fig3, fig4, fig5, fig6top, fig6bottom, table1, ablation, pr3, pr4, all")
+		exp           = flag.String("exp", "all", "experiment: fig3, fig4, fig5, fig6top, fig6bottom, table1, ablation, pr3, all")
 		format        = flag.String("format", "text", "output format: text or csv")
 		seed          = flag.Int64("seed", 1, "workload noise seed")
 		quanta        = flag.Int("scale-quanta", 0, "override quanta per trajectory (0 = publication parameters)")
 		pr3Out        = flag.String("pr3-out", "BENCH_PR3.json", "output path of the -exp pr3 report")
-		pr4Out        = flag.String("pr4-out", "BENCH_PR4.json", "output path of the -exp pr4 report")
 		writeBaseline = flag.String("write-baseline", "", "measure the pinned hot-path benchmarks and write the baseline to this path")
 		compare       = flag.String("compare", "", "measure the pinned hot-path benchmarks and gate against this baseline (exit 1 on regression)")
 		tolerance     = flag.Float64("bench-tolerance", 0.20, "allowed fractional ns/op regression in -compare")
@@ -180,25 +178,6 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "cwc-bench: wrote %s (analysis %.0f windows/sec, %.1f allocs/op; serve 1→4 engines %.2fx)\n",
 			*pr3Out, rep.AnalyseWindow.WindowsPerSec, rep.AnalyseWindow.AllocsPerOp, rep.ServeMultiJob.Speedup)
-	}
-	// The pr4 throughput report likewise runs only by name: it spins up an
-	// in-process two-worker cluster and measures this host's wall clock.
-	if *exp == "pr4" {
-		ran = true
-		rep, err := bench.PR4()
-		if err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*pr4Out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cwc-bench: wrote %s (local %.0f w/s, 2-worker distributed %.0f w/s, %.2fx, %d remote tasks)\n",
-			*pr4Out, rep.LocalWindowsPerSec, rep.Distributed2WindowsPerSec, rep.Speedup, rep.RemoteTasksDone)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *exp)

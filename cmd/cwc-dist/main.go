@@ -1,6 +1,10 @@
-// Command cwc-dist runs the distributed CWC simulator: a master process
-// that spreads the simulation farm over sim-worker processes (the paper's
-// farm of simulation pipelines) and runs the analysis pipeline locally.
+// Command cwc-dist runs the distributed CWC simulator: sim-worker
+// processes (the paper's farm of simulation pipelines) and a master that
+// spreads one run over them. The master is a command-line client of the
+// job service's slab scheduler (package serve, in process): it shards the
+// run into window-sized slabs across the workers and its own cores, runs
+// the analysis pipeline locally and prints the windows as CSV. A lost
+// worker costs only the slabs it held, which requeue.
 //
 // Start workers first, then the master:
 //
@@ -26,6 +30,8 @@ import (
 	"cwcflow/internal/core"
 	"cwcflow/internal/dff"
 	"cwcflow/internal/obs"
+	"cwcflow/internal/serve"
+	"cwcflow/internal/window"
 )
 
 func main() {
@@ -158,18 +164,18 @@ func heartbeat(ctx context.Context, base, addr string, inflight int) {
 func runMaster(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("master", flag.ContinueOnError)
 	var (
-		workers     = fs.String("workers", "", "comma-separated sim worker addresses")
-		model       = fs.String("model", "neurospora", "model name (see cwc-sim -help)")
-		omega       = fs.Float64("omega", 100, "system size")
-		traj        = fs.Int("trajectories", 128, "Monte Carlo ensemble size")
-		end         = fs.Float64("end", 48, "simulated horizon")
-		quantum     = fs.Float64("quantum", 0, "simulation quantum (0 = one sampling period)")
-		period      = fs.Float64("period", 0.5, "sampling period τ")
-		statEngines = fs.Int("stat-engines", 4, "statistics farm width on the master")
-		winSize     = fs.Int("window", 16, "sliding window size (cuts)")
-		seed        = fs.Int64("seed", 1, "base RNG seed")
-		idleTimeout = fs.Duration("worker-timeout", 0, "fail the run if a worker sends nothing for this long (0 = wait forever)")
-		debugAddr   = fs.String("debug-addr", "", "HTTP listen address for GET /metrics and /debug/pprof (empty = disabled)")
+		workers       = fs.String("workers", "", "comma-separated sim worker addresses")
+		model         = fs.String("model", "neurospora", "model name (see cwc-sim -help)")
+		omega         = fs.Float64("omega", 100, "system size")
+		traj          = fs.Int("trajectories", 128, "Monte Carlo ensemble size")
+		end           = fs.Float64("end", 48, "simulated horizon")
+		quantum       = fs.Float64("quantum", 0, "simulation quantum (0 = one sampling period)")
+		period        = fs.Float64("period", 0.5, "sampling period τ")
+		statEngines   = fs.Int("stat-engines", 4, "statistics farm width on the master")
+		winSize       = fs.Int("window", 16, "sliding window size (cuts)")
+		seed          = fs.Int64("seed", 1, "base RNG seed")
+		workerTimeout = fs.Duration("worker-timeout", 0, "requeue a worker's slabs once it sends nothing for this long (0 = the job service's default, 30s)")
+		debugAddr     = fs.String("debug-addr", "", "HTTP listen address for GET /metrics and /debug/pprof (empty = disabled)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -178,35 +184,50 @@ func runMaster(ctx context.Context, args []string) error {
 		return fmt.Errorf("master needs -workers")
 	}
 	addrs := strings.Split(*workers, ",")
-	cfg := core.Config{
-		Trajectories:      *traj,
-		End:               *end,
-		Quantum:           *quantum,
-		Period:            *period,
-		StatEngines:       *statEngines,
-		WindowSize:        *winSize,
-		BaseSeed:          *seed,
-		WorkerIdleTimeout: *idleTimeout,
-	}
-	display := core.CSVDisplay(os.Stdout, nil)
-	if *debugAddr != "" {
-		reg := obs.NewRegistry()
-		windows := reg.Counter("cwc_master_windows_total", "Windows published by this run.")
-		csv := display
-		display = func(ws core.WindowStat) error {
-			windows.Inc()
-			return csv(ws)
-		}
-		go serveDebug("master", *debugAddr, reg)
-	}
-	start := time.Now()
-	info, err := core.RunDistributed(ctx, cfg, core.ModelRef{Name: *model, Omega: *omega}, addrs, display)
+	// The run is one job on an in-process job service, sized for it: the
+	// result ring and the subscriber mailbox each hold every window, so
+	// none can be evicted or dropped before it is printed.
+	cuts := int(*end / *period) + 1
+	windows := window.WindowCount(cuts, *winSize, *winSize)
+	svc, err := serve.New(serve.Options{
+		StatEngines:      *statEngines,
+		ResultBuffer:     windows,
+		SubscriberBuffer: windows,
+		MaxTrajectories:  *traj,
+		MaxCuts:          cuts,
+		WorkerAddrs:      addrs,
+		WorkerTimeout:    *workerTimeout,
+	})
 	if err != nil {
 		return err
 	}
+	defer svc.Close()
+	if *debugAddr != "" {
+		go serveDebug("master", *debugAddr, svc.Metrics())
+	}
+	start := time.Now()
+	job, err := svc.Submit(serve.JobSpec{
+		Model: *model, Omega: *omega, Trajectories: *traj, End: *end, Quantum: *quantum,
+		Period: *period, WindowSize: *winSize, Seed: *seed,
+	})
+	if err != nil {
+		return err
+	}
+	lost, err := job.Follow(ctx, 0, nil, core.CSVDisplay(os.Stdout, nil))
+	if err != nil {
+		return err
+	}
+	st := job.Status()
+	if st.State != serve.StateDone {
+		return fmt.Errorf("job %s: %s", st.State, st.Error)
+	}
+	if lost > 0 {
+		return fmt.Errorf("%d windows were lost before they could be printed", lost)
+	}
+	p := st.Progress
 	fmt.Fprintf(os.Stderr,
-		"done in %v over %d workers: %d trajectories, %d cuts, %d windows, %d samples, %d reactions\n",
+		"done in %v over %d workers: %d trajectories, %d cuts, %d windows, %d samples, %d reactions; remote_tasks_done=%d requeued_tasks=%d\n",
 		time.Since(start).Round(time.Millisecond), len(addrs),
-		info.Trajectories, info.Cuts, info.Windows, info.Samples, info.Reactions)
+		p.Trajectories, p.Cuts, p.Windows, p.Samples, p.Reactions, p.RemoteTasksDone, p.RequeuedTasks)
 	return nil
 }

@@ -1,9 +1,9 @@
 // Distributed: spins up an in-process virtual cluster — three sim-worker
 // servers on loopback TCP — and drives the distributed CWC simulator
-// against it: the master streams trajectory assignments out, merges the
-// returned sample streams, and runs alignment + statistics locally. The
-// same pipeline code as the shared-memory version; only the endpoints
-// changed (the paper's porting claim, §IV-B).
+// against it: the master (the job service's slab scheduler) streams slabs
+// out, merges the returned sample streams, and runs alignment + statistics
+// locally. The same pipeline code as the shared-memory version; only the
+// endpoints changed (the paper's porting claim, §IV-B).
 //
 //	go run ./examples/distributed
 package main
@@ -15,6 +15,7 @@ import (
 
 	"cwcflow/internal/core"
 	"cwcflow/internal/dff"
+	"cwcflow/internal/serve"
 )
 
 func main() {
@@ -38,19 +39,22 @@ func main() {
 	}
 	fmt.Println("virtual cluster:", addrs)
 
-	cfg := core.Config{
-		Trajectories: 60,
-		End:          24,
-		Quantum:      2,
-		Period:       0.5,
-		StatEngines:  2,
-		WindowSize:   16,
-		BaseSeed:     99,
+	// The master: an in-process job service sharding slabs over the
+	// cluster (and its own cores), analysing locally.
+	svc, err := serve.New(serve.Options{StatEngines: 2, WorkerAddrs: addrs})
+	if err != nil {
+		log.Fatal(err)
 	}
-	model := core.ModelRef{Name: "neurospora", Omega: 50}
-
+	defer svc.Close()
+	job, err := svc.Submit(serve.JobSpec{
+		Model: "neurospora", Omega: 50, Trajectories: 60, End: 24, Quantum: 2,
+		Period: 0.5, WindowSize: 16, Seed: 99,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	windows := 0
-	info, err := core.RunDistributed(ctx, cfg, model, addrs, func(ws core.WindowStat) error {
+	lost, err := job.Follow(ctx, 0, nil, func(ws core.WindowStat) error {
 		windows++
 		last := ws.NumCuts - 1
 		fmt.Printf("window %2d: t=[%5.1f,%5.1f]  mean M at window end: %7.2f (±%5.2f across %d trajectories)\n",
@@ -59,9 +63,11 @@ func main() {
 			ws.PerCut[last][0].N)
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
+	st := job.Status()
+	if err != nil || lost > 0 || st.State != serve.StateDone {
+		log.Fatalf("job %s (%s): err=%v, %d windows lost", st.State, st.Error, err, lost)
 	}
-	fmt.Printf("\nmaster summary: %d trajectories over %d workers, %d cuts, %d samples, %d reactions\n",
-		info.Trajectories, len(addrs), info.Cuts, info.Samples, info.Reactions)
+	p := st.Progress
+	fmt.Printf("\nmaster summary: %d trajectories over %d workers (%d finished remotely), %d cuts, %d samples, %d reactions\n",
+		p.Trajectories, len(addrs), p.RemoteTasksDone, p.Cuts, p.Samples, p.Reactions)
 }

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"cwcflow/internal/ff"
 	"cwcflow/internal/sim"
@@ -76,14 +75,6 @@ type Config struct {
 	// The sample's State is backed by a pooled batch arena and is only
 	// valid for the duration of the call: copy it to retain it.
 	RawSink func(sim.Sample) error
-
-	// WorkerIdleTimeout, when > 0, bounds how long RunDistributed waits
-	// for the next result frame from any sim worker: a silently dead
-	// worker host (no TCP reset reaches the master) fails the run instead
-	// of hanging it forever. Leave generous headroom over the longest
-	// expected quantum; 0 disables the bound. Shared-memory runs ignore
-	// it.
-	WorkerIdleTimeout time.Duration
 }
 
 // Normalized validates the configuration and returns a copy with every
@@ -269,7 +260,7 @@ func Run(ctx context.Context, cfg Config, display func(WindowStat) error) (RunIn
 
 // analysisPipeline builds stages 3–5 of Fig. 2: alignment of trajectories,
 // generation of sliding windows, and the ordered farm of statistical
-// engines. It is shared by the shared-memory, GPU and distributed runners.
+// engines. It is shared by the shared-memory and GPU runners.
 // Input arrives as pooled sample batches; the alignment stage copies each
 // state into per-cut storage and releases the batch, so batch recycling
 // survives the full pipeline while cuts flow to the (asynchronous) stat

@@ -18,14 +18,16 @@ import (
 )
 
 // The distributed CWC simulator (paper §IV-B): the simulation pipeline
-// becomes a farm of simulation pipelines spread over hosts. A master
-// generates simulation tasks and streams them to sim-worker processes over
-// typed dff channels; each worker runs a local farm of simulation engines
-// and streams samples back; the master merges the sample streams into the
-// usual alignment → windows → statistics pipeline. Moving a stage across
-// the process boundary changes only the (de)serialising endpoints — the
-// user code of every stage is byte-for-byte the one the shared-memory
-// version runs, which is the paper's porting claim.
+// becomes a farm of simulation pipelines spread over hosts. A master (the
+// job service's slab scheduler, which cwc-dist master also drives) streams
+// slabs to sim-worker processes over typed dff channels; each worker runs a
+// local farm of simulation engines and streams samples back; the master
+// merges the sample streams into the usual alignment → windows →
+// statistics pipeline. Moving a stage across the process boundary changes
+// only the (de)serialising endpoints — the user code of every stage is
+// byte-for-byte the one the shared-memory version runs, which is the
+// paper's porting claim. This file holds the worker side and the wire
+// types both sides share.
 
 // ModelRef names a model that sim workers can rebuild locally. Only the
 // reference crosses the wire, never live simulator state.
@@ -391,181 +393,4 @@ func handleJob(ctx context.Context, conn net.Conn, opts SimWorkerOptions) error 
 		return err
 	}
 	return out.Close()
-}
-
-// RunDistributed executes the pipeline with the simulation stage spread
-// over remote sim workers: cfg.Factory is ignored (workers build their own
-// simulators from model), and the master runs alignment, windows and the
-// statistics farm locally.
-func RunDistributed(ctx context.Context, cfg Config, model ModelRef, workerAddrs []string, display func(WindowStat) error) (RunInfo, error) {
-	if len(workerAddrs) == 0 {
-		return RunInfo{}, errors.New("core: no sim workers given")
-	}
-	// Fill defaults; provide a local probe factory so species resolution
-	// and validation use the exact model the workers will run.
-	probeFactory, err := FactoryFor(model)
-	if err != nil {
-		return RunInfo{}, err
-	}
-	cfg.Factory = probeFactory
-	cfg, err = cfg.withDefaults()
-	if err != nil {
-		return RunInfo{}, err
-	}
-	if display == nil {
-		display = func(WindowStat) error { return nil }
-	}
-	species, err := resolveSpecies(cfg)
-	if err != nil {
-		return RunInfo{}, err
-	}
-
-	var info RunInfo
-	info.Trajectories = cfg.Trajectories
-	var samples atomic.Int64
-	var cutsEmitted atomic.Int64
-
-	type peer struct {
-		conn net.Conn
-		out  *dff.Writer[WorkerMsg]
-		in   *dff.Reader[ResultMsg]
-	}
-	peers := make([]*peer, 0, len(workerAddrs))
-	defer func() {
-		for _, p := range peers {
-			p.conn.Close()
-		}
-	}()
-	for _, addr := range workerAddrs {
-		conn, err := dff.Dial(addr, 10*time.Second)
-		if err != nil {
-			return info, err
-		}
-		in := dff.NewReader[ResultMsg](conn)
-		if cfg.WorkerIdleTimeout > 0 {
-			// Idle bound on each result stream: a worker host that dies
-			// without a TCP reset fails the run instead of hanging it.
-			in = dff.NewReaderTimeout[ResultMsg](conn, cfg.WorkerIdleTimeout)
-		}
-		peers = append(peers, &peer{
-			conn: conn,
-			out:  dff.NewWriter[WorkerMsg](conn),
-			in:   in,
-		})
-	}
-
-	hdr := JobHeader{
-		Model:    model,
-		End:      cfg.End,
-		Quantum:  cfg.Quantum,
-		Period:   cfg.Period,
-		BaseSeed: cfg.BaseSeed,
-		Slab:     cfg.WindowSize,
-	}
-
-	var reactions atomic.Uint64
-	var deadTasks atomic.Int64
-	g := ff.NewGroup(ctx)
-
-	// Task distribution: header to every worker, then one run-to-the-end
-	// slab per trajectory (Until zero), round-robin.
-	g.Go(func(ctx context.Context) error {
-		for _, p := range peers {
-			if err := p.out.Send(WorkerMsg{Header: &hdr}); err != nil {
-				return err
-			}
-		}
-		for traj := 0; traj < cfg.Trajectories; traj++ {
-			p := peers[traj%len(peers)]
-			if err := p.out.Send(WorkerMsg{Traj: traj}); err != nil {
-				return err
-			}
-		}
-		for _, p := range peers {
-			if err := p.out.Close(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	// Sample merge: one drainer per worker into a shared channel. Each
-	// ResultMsg carries up to a window of samples for one trajectory, which
-	// travels on as one pooled batch (the analysis pipeline recycles it
-	// after alignment). The buffer rides out bursts across workers.
-	merged := make(chan *sim.Batch, 64)
-	drainers := ff.NewGroup(g.Context())
-	for _, p := range peers {
-		drainers.Go(func(ctx context.Context) error {
-			sawTrailer := false
-			for {
-				msg, ok, err := p.in.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					if !sawTrailer {
-						return errors.New("core: worker stream ended without trailer")
-					}
-					return nil
-				}
-				if msg.Trailer != nil {
-					sawTrailer = true
-					reactions.Add(msg.Trailer.Reactions)
-					deadTasks.Add(int64(msg.Trailer.DeadTasks))
-					continue
-				}
-				if len(msg.Samples) == 0 {
-					continue
-				}
-				b := sim.BatchOf(msg.Samples)
-				samples.Add(int64(len(msg.Samples)))
-				select {
-				case merged <- b:
-				case <-ctx.Done():
-					b.Release()
-					return ctx.Err()
-				}
-			}
-		})
-	}
-	g.Go(func(ctx context.Context) error {
-		defer close(merged)
-		return drainers.Wait()
-	})
-
-	// Master-side analysis pipeline.
-	analysis := analysisPipeline(cfg, species, &cutsEmitted)
-	windows := 0
-	g.Go(func(ctx context.Context) error {
-		source := ff.Source[*sim.Batch](func(ctx context.Context, emit ff.Emit[*sim.Batch]) error {
-			for {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case b, ok := <-merged:
-					if !ok {
-						return nil
-					}
-					if err := emit(b); err != nil {
-						return err
-					}
-				}
-			}
-		})
-		return ff.Run(ctx, source, analysis, func(ws WindowStat) error {
-			windows++
-			return display(ws)
-		})
-	})
-
-	if err := g.Wait(); err != nil {
-		return info, err
-	}
-	info.Windows = windows
-	info.Cuts = int(cutsEmitted.Load())
-	info.Samples = samples.Load()
-	info.Reactions = reactions.Load()
-	info.DeadTasks = int(deadTasks.Load())
-	return info, nil
 }

@@ -183,10 +183,11 @@ func TestSlabsComposeToUninterruptedTrajectory(t *testing.T) {
 }
 
 // TestRunToEndSlabStreamsInSlabSizedMessages covers the other two shapes of
-// the one worker code path: Until zero (what RunDistributed sends) streams
-// the whole trajectory home in JobHeader.Slab-sized messages with no
-// snapshots, and an engine that cannot snapshot ignores its Until the same
-// way — either must reproduce the uninterrupted trajectory.
+// the one worker code path: Until zero (an unset wire field, which the
+// worker reads as run-to-end) streams the whole trajectory home in
+// JobHeader.Slab-sized messages with no snapshots, and an engine that
+// cannot snapshot ignores its Until the same way — either must reproduce
+// the uninterrupted trajectory.
 func TestRunToEndSlabStreamsInSlabSizedMessages(t *testing.T) {
 	for _, tc := range []struct {
 		model string

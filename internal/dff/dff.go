@@ -92,9 +92,7 @@ func (w *Writer[T]) Err() error {
 
 // Reader is the receiving endpoint of a typed stream.
 type Reader[T any] struct {
-	dec  *gob.Decoder
-	conn net.Conn      // non-nil when an idle timeout is armed
-	idle time.Duration // max gap between values before Recv errors
+	dec *gob.Decoder
 }
 
 // NewReader wraps r into a typed stream receiver.
@@ -102,22 +100,9 @@ func NewReader[T any](r io.Reader) *Reader[T] {
 	return &Reader[T]{dec: gob.NewDecoder(r)}
 }
 
-// NewReaderTimeout wraps conn into a typed stream receiver whose Recv
-// fails if the peer sends nothing for idle — the per-quantum watchdog of
-// a long-lived result stream. idle <= 0 disables the deadline.
-func NewReaderTimeout[T any](conn net.Conn, idle time.Duration) *Reader[T] {
-	return &Reader[T]{dec: gob.NewDecoder(conn), conn: conn, idle: idle}
-}
-
 // Recv returns the next value; ok=false (with nil error) after the peer
-// closed the stream. A broken connection (or an expired idle deadline on a
-// Reader built with NewReaderTimeout) surfaces as an error.
+// closed the stream. A broken connection surfaces as an error.
 func (r *Reader[T]) Recv() (v T, ok bool, err error) {
-	if r.conn != nil && r.idle > 0 {
-		if err := r.conn.SetReadDeadline(time.Now().Add(r.idle)); err != nil {
-			return v, false, fmt.Errorf("dff: arming idle deadline: %w", err)
-		}
-	}
 	var env envelope[T]
 	if err := r.dec.Decode(&env); err != nil {
 		if errors.Is(err, io.EOF) {

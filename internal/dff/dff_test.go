@@ -465,34 +465,6 @@ func TestDrainCancelledByContext(t *testing.T) {
 	}
 }
 
-func TestReaderTimeoutOnSilentPeer(t *testing.T) {
-	l, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			defer c.Close()
-			time.Sleep(2 * time.Second) // silent peer: no frames, no close
-		}
-	}()
-	conn, err := Dial(l.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := NewReaderTimeout[int](conn, 100*time.Millisecond)
-	start := time.Now()
-	if _, ok, err := r.Recv(); ok || err == nil {
-		t.Fatalf("silent peer: ok=%v err=%v, want timeout error", ok, err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatalf("idle deadline fired after %v, want ~100ms", time.Since(start))
-	}
-}
-
 func TestDialRetryReconnectsAfterRestart(t *testing.T) {
 	// Grab a port, then shut the listener down — the "worker crashed"
 	// window — and restart it on the same address while DialRetry is

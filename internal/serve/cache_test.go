@@ -13,6 +13,7 @@ import (
 
 	"cwcflow/internal/core"
 	"cwcflow/internal/serve"
+	"cwcflow/internal/sim"
 )
 
 // newCountingServer is newTestServer with a resolver that counts its
@@ -127,10 +128,28 @@ func TestResubmitCompletedSpecHitsCache(t *testing.T) {
 
 // TestConcurrentSubmitsShareOneSimulation pins the race the in-lock
 // re-check closes: two submissions of one spec racing through admission
-// yield exactly one job — the loser attaches, and both callers get the
-// same job back.
+// yield exactly one job — the loser attaches, both callers get the same
+// job back, and the ensemble is simulated once. Both racers may resolve
+// the model and probe one engine before the re-check decides, so the test
+// counts the engines built beyond those admission probes.
 func TestConcurrentSubmitsShareOneSimulation(t *testing.T) {
-	svc, _, resolves := newCountingServer(t, 2*time.Millisecond, serve.Options{})
+	var resolves, engines atomic.Int64
+	inner := testResolver(2 * time.Millisecond)
+	svc, err := serve.New(serve.Options{Workers: 4, Resolver: func(ref core.ModelRef) (core.SimulatorFactory, error) {
+		resolves.Add(1)
+		f, err := inner(ref)
+		if err != nil {
+			return nil, err
+		}
+		return func(traj int, seed int64) (sim.Simulator, error) {
+			engines.Add(1)
+			return f(traj, seed)
+		}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
 
 	start := make(chan struct{})
 	results := make([]serve.SubmitResult, 2)
@@ -170,9 +189,6 @@ func TestConcurrentSubmitsShareOneSimulation(t *testing.T) {
 	if jobs := svc.List(); len(jobs) != 1 {
 		t.Fatalf("registry holds %d jobs, want 1", len(jobs))
 	}
-	if got := resolves.Load(); got != 1 {
-		t.Fatalf("resolver ran %d times, want 1 (one simulation)", got)
-	}
 	if cs := svc.CacheStats(); cs.Attaches != 1 {
 		t.Fatalf("CacheStats.Attaches = %d, want 1", cs.Attaches)
 	}
@@ -180,6 +196,11 @@ func TestConcurrentSubmitsShareOneSimulation(t *testing.T) {
 	case <-results[0].Job.Done():
 	case <-time.After(30 * time.Second):
 		t.Fatal("shared job did not finish")
+	}
+	// Each resolution probes one engine (core.ResolveSpecies); every other
+	// engine is a trajectory of the ensemble.
+	if got, want := engines.Load()-resolves.Load(), int64(slowSpec().Trajectories); got != want {
+		t.Fatalf("%d trajectory engines built, want %d (one simulation)", got, want)
 	}
 }
 

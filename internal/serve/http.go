@@ -379,94 +379,56 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	// Subscribe before committing the response: a bad from offset must
-	// still be reportable as a 400.
-	replay, gap, sub, err := job.subscribe(from)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	flusher, canFlush := w.(http.Flusher)
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-
-	send := func(ev streamEvent) bool {
+	send := func(ev streamEvent) error {
 		var err error
 		if sse {
 			data, merr := json.Marshal(ev)
 			if merr != nil {
-				return false
+				return merr
 			}
 			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
 		} else {
 			err = json.NewEncoder(w).Encode(ev)
 		}
-		if err != nil {
-			return false
-		}
-		if canFlush {
+		if err == nil && canFlush {
 			flusher.Flush()
 		}
-		return true
+		return err
 	}
-	end := func(sub *subscriber) {
+	// The response is committed in open, once Follow has subscribed: a bad
+	// from offset must still be reportable as a 400.
+	opened, evicted := false, 0
+	open := func(gap int) error {
+		opened, evicted = true, gap
+		if sse {
+			w.Header().Set("Content-Type", "text/event-stream")
+			w.Header().Set("Cache-Control", "no-cache")
+		} else {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+		}
+		w.WriteHeader(http.StatusOK)
+		// Leading status snapshot: progress and the backpressure/throughput
+		// counters (windows emitted, batches spilled, queue depth) at stream
+		// open, so a client sees the job's health before the first window.
 		st := job.Status()
-		ev := streamEvent{Type: "end", Status: &st}
-		if sub != nil {
-			ev.Lost = job.subLost(sub)
+		if err := send(streamEvent{Type: "status", Status: &st}); err != nil || gap == 0 {
+			return err
 		}
-		send(ev)
+		return send(streamEvent{Type: "gap", Lost: gap})
 	}
-
-	// Leading status snapshot: progress and the backpressure/throughput
-	// counters (windows emitted, batches spilled, queue depth) at stream
-	// open, so a client sees the job's health before the first window.
-	st := job.Status()
-	if !send(streamEvent{Type: "status", Status: &st}) {
-		if sub != nil {
-			job.unsubscribe(sub)
-		}
-		return
-	}
-	if gap > 0 {
-		if !send(streamEvent{Type: "gap", Lost: gap}) {
-			if sub != nil {
-				job.unsubscribe(sub)
-			}
-			return
-		}
-	}
-	for i := range replay {
-		if !send(streamEvent{Type: "window", Window: &replay[i]}) {
-			if sub != nil {
-				job.unsubscribe(sub)
-			}
-			return
-		}
-	}
-	if sub == nil { // already terminal: replay was everything
-		end(nil)
-		return
-	}
-	defer job.unsubscribe(sub)
-	for {
-		select {
-		case ws, ok := <-sub.ch:
-			if !ok { // job reached a terminal state
-				end(sub)
-				return
-			}
-			if !send(streamEvent{Type: "window", Window: &ws}) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
+	lost, err := job.Follow(r.Context(), from, open, func(ws core.WindowStat) error {
+		return send(streamEvent{Type: "window", Window: &ws})
+	})
+	switch {
+	case err == nil:
+		// The end event counts only what the mailbox dropped; the gap
+		// event already reported the evicted windows. A failed write has
+		// nobody left to tell.
+		st := job.Status()
+		_ = send(streamEvent{Type: "end", Status: &st, Lost: lost - evicted})
+	case !opened:
+		writeError(w, http.StatusBadRequest, "%v", err)
 	}
 }

@@ -922,20 +922,58 @@ func (j *Job) subscribe(from int) (replay []core.WindowStat, gap int, sub *subsc
 	return replay, gap, sub, nil
 }
 
-// unsubscribe detaches a live subscriber (e.g. the client disconnected).
-func (j *Job) unsubscribe(sub *subscriber) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.subs != nil {
-		delete(j.subs, sub)
+// Follow delivers the job's windows from index from onward to fn, each
+// once and in order: the windows already published first, then live ones
+// as the analysis publishes them. open, when non-nil, runs once after the
+// subscription is in place and before the first window, with the number
+// of requested windows already evicted from the bounded result ring. A
+// from beyond the windows published so far fails before open runs.
+//
+// Follow returns nil once the job is terminal and fn has seen every
+// window offered to it, ctx's error if ctx ends first, or the first error
+// from open or fn. lost counts the windows fn did not see: the evicted
+// ones plus those the subscriber's bounded mailbox dropped while fn lagged
+// (Options.SubscriberBuffer).
+func (j *Job) Follow(ctx context.Context, from int, open func(gap int) error, fn func(core.WindowStat) error) (lost int, err error) {
+	replay, gap, sub, err := j.subscribe(from)
+	if err != nil {
+		return 0, err
 	}
-}
-
-// subLost reports how many windows a subscriber's mailbox dropped.
-func (j *Job) subLost(sub *subscriber) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return sub.lost
+	lost = gap
+	if sub != nil {
+		defer func() {
+			j.mu.Lock()
+			delete(j.subs, sub)
+			lost += sub.lost
+			j.mu.Unlock()
+		}()
+	}
+	if open != nil {
+		if err := open(gap); err != nil {
+			return lost, err
+		}
+	}
+	for _, ws := range replay {
+		if err := fn(ws); err != nil {
+			return lost, err
+		}
+	}
+	if sub == nil { // already terminal: the replay was everything
+		return lost, nil
+	}
+	for {
+		select {
+		case ws, ok := <-sub.ch:
+			if !ok { // the job reached a terminal state
+				return lost, nil
+			}
+			if err := fn(ws); err != nil {
+				return lost, err
+			}
+		case <-ctx.Done():
+			return lost, ctx.Err()
+		}
+	}
 }
 
 // resultsSnapshot returns the buffered windows and the index of the first

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -262,6 +263,85 @@ func TestRemoteShardingDigestMatchesLocal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDistributedWindowsMatchCoreRun pins the porting claim end to end:
+// the windows a job streams through Follow are reflect.DeepEqual to the
+// shared-memory core.Run of the same configuration, whether the job runs
+// on the local pool alone, sharded over two sim workers, or against a
+// worker that cannot be dialled (the job falls back to the local pool).
+// The models cover both SSA engines (slabs migrate as snapshots) and the
+// CWC term rewriter (no snapshots: one run-to-the-end slab per trajectory).
+func TestDistributedWindowsMatchCoreRun(t *testing.T) {
+	specs := []serve.JobSpec{
+		{Model: "sir", Trajectories: 16, End: 12, Period: 0.5, WindowSize: 8, Seed: 42},
+		{Model: "neurospora", Omega: 20, Trajectories: 12, End: 12, Period: 0.5, WindowSize: 8, Seed: 42},
+		{Model: "neurospora-cwc", Omega: 5, Trajectories: 6, End: 6, Period: 0.5, WindowSize: 4, Seed: 42},
+	}
+	unreachable := func(t *testing.T) []string {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		return []string{l.Addr().String()}
+	}
+	placements := []struct {
+		name    string
+		workers func(t *testing.T) []string
+		remote  bool
+	}{
+		{"local", func(*testing.T) []string { return nil }, false},
+		{"2-workers", func(t *testing.T) []string {
+			return []string{startWorker(t, 2, core.FactoryFor).addr, startWorker(t, 2, core.FactoryFor).addr}
+		}, true},
+		{"unreachable-worker", unreachable, false},
+	}
+	for _, spec := range specs {
+		factory, err := core.FactoryFor(core.ModelRef{Name: spec.Model, Omega: spec.Omega})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []core.WindowStat
+		cfg := core.Config{
+			Factory: factory, Trajectories: spec.Trajectories, End: spec.End, Period: spec.Period,
+			WindowSize: spec.WindowSize, BaseSeed: spec.Seed, SimWorkers: 2, StatEngines: 2,
+		}
+		if _, err := core.Run(context.Background(), cfg, func(ws core.WindowStat) error {
+			want = append(want, ws)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range placements {
+			t.Run(spec.Model+"/"+p.name, func(t *testing.T) {
+				svc, err := serve.New(serve.Options{Workers: 2, WorkerAddrs: p.workers(t), WorkerInFlight: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Close()
+				job, err := svc.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []core.WindowStat
+				lost, err := job.Follow(context.Background(), 0, nil, func(ws core.WindowStat) error {
+					got = append(got, ws)
+					return nil
+				})
+				st := job.Status()
+				if err != nil || lost != 0 || st.State != serve.StateDone {
+					t.Fatalf("job %s (%s): err=%v lost=%d", st.State, st.Error, err, lost)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d windows differ from core.Run's %d", len(got), len(want))
+				}
+				if remote := st.Progress.RemoteTasksDone > 0; remote != p.remote {
+					t.Fatalf("remote_tasks_done = %d, want remote work %v", st.Progress.RemoteTasksDone, p.remote)
+				}
+			})
+		}
 	}
 }
 

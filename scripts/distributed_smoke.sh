@@ -3,7 +3,9 @@
 # job across them must produce a window-stats digest bit-identical to a
 # single-process cwc-serve run of the same seed — and must stream: the
 # first window of a sharded job has to arrive while most trajectories are
-# still running (breadth-first slab dispatch), not at the job's end.
+# still running (breadth-first slab dispatch), not at the job's end. The
+# same spec through cwc-dist master over the same workers must print a CSV
+# byte-identical to cwc-sim's shared-memory run.
 #
 # Needs: go, curl, jq, sha256sum. Run from the repo root.
 set -euo pipefail
@@ -13,6 +15,7 @@ trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 go build -o "$BIN/cwc-serve" ./cmd/cwc-serve
 go build -o "$BIN/cwc-dist" ./cmd/cwc-dist
+go build -o "$BIN/cwc-sim" ./cmd/cwc-sim
 
 W1=127.0.0.1:7101
 W2=127.0.0.1:7102
@@ -60,6 +63,26 @@ if [ "$REF_DIGEST" != "$DIST_DIGEST" ]; then
   exit 1
 fi
 echo "OK: distributed digest bit-identical to single-process"
+
+# cwc-dist master drives the same slab scheduler in process, over the same
+# workers; its summary line reports what finished remotely.
+RUN=(-model sir -omega 100 -trajectories 16 -end 12 -period 0.5 -window 8 -seed 42)
+"$BIN/cwc-sim" "${RUN[@]}" >"$BIN/sim.csv"
+"$BIN/cwc-dist" master -workers "$W1,$W2" "${RUN[@]}" >"$BIN/master.csv" 2>"$BIN/master.err"
+SIM_SUM=$(sha256sum <"$BIN/sim.csv" | cut -d' ' -f1)
+MASTER_SUM=$(sha256sum <"$BIN/master.csv" | cut -d' ' -f1)
+MASTER_REMOTE=$(sed -n 's/.*remote_tasks_done=\([0-9]*\).*/\1/p' "$BIN/master.err")
+echo "cwc-sim csv:    $SIM_SUM"
+echo "cwc-dist csv:   $MASTER_SUM (remote_tasks_done=${MASTER_REMOTE:-none})"
+if [ "$SIM_SUM" != "$MASTER_SUM" ]; then
+  echo "FAIL: cwc-dist master CSV differs from cwc-sim's" >&2
+  exit 1
+fi
+if [ "${MASTER_REMOTE:-0}" -lt 1 ]; then
+  echo "FAIL: cwc-dist master finished no trajectories on remote workers: $(cat "$BIN/master.err")" >&2
+  exit 1
+fi
+echo "OK: cwc-dist master CSV byte-identical to cwc-sim"
 
 # Streaming check, by counts and not by the clock: at the moment the first
 # window event of a 64-trajectory job arrives, fewer than half of its
