@@ -11,9 +11,10 @@ import (
 	"cwcflow/internal/sim"
 )
 
-// Ablations isolate the design choices the paper (and DESIGN.md) credits
-// for the system's behaviour: on-demand vs static scheduling, the
-// simulation-quantum knob, and the SSA algorithm choice.
+// Ablations isolate the design choices the paper (and docs/ARCHITECTURE.md,
+// "The evaluation substitute") credits for the system's behaviour:
+// on-demand vs static scheduling, the simulation-quantum knob, and the SSA
+// algorithm choice.
 
 // AblationScheduling compares global on-demand task scheduling against the
 // static per-host partition on the Infiniband cluster model, across

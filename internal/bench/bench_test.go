@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// The tests below are the acceptance criteria of DESIGN.md: they assert
-// the *shape* of every reproduced figure/table (who wins, where curves
-// bend), not absolute numbers. Scaled-down workloads keep them fast; the
+// The tests below are the acceptance criteria of docs/ARCHITECTURE.md's
+// "The evaluation substitute" section: they assert the *shape* of every
+// reproduced figure/table (who wins, where curves bend), not absolute
+// numbers. Scaled-down workloads keep them fast; the
 // full-parameter runs live in cmd/cwc-bench and bench_test.go at the
 // module root.
 

@@ -344,7 +344,7 @@ func analysisPipeline(cfg Config, species []int, cutsEmitted *atomic.Int64) ff.N
 			}
 			return emit(fs)
 		})
-	}, ff.WithOrdered())
+	})
 	asm := NewAssembler(cfg.WindowSize)
 	assemble := ff.MapNode(func(fs freshStat) (WindowStat, error) {
 		asm.Assemble(&fs.ws, fs.fresh)

@@ -79,8 +79,7 @@ func RunGPU(ctx context.Context, cfg Config, device *gpu.Device, display func(Wi
 				buffers[i] = sim.GetBatch()
 			}
 			stats, err := device.Launch(ctx, len(active), func(idx int) (float64, error) {
-				// Each kernel item owns buffers[idx]: no synchronisation
-				// needed even with host parallelism > 1.
+				// Each kernel item owns buffers[idx].
 				task := active[idx]
 				before := task.Steps()
 				if err := task.RunQuantumBatch(buffers[idx]); err != nil {

@@ -1,268 +1,24 @@
 package ff
 
-import (
-	"context"
-	"runtime"
+import "context"
 
-	"cwcflow/internal/ff/spsc"
-)
-
-// Farm replicates a Worker across n parallel instances, dispatching the
-// input stream over them and collecting their outputs on a single stream
-// (emitter → workers → collector, the FastFlow task-farm skeleton).
-//
-// Scheduling is configurable: OnDemand (default, auto-balancing) or
-// RoundRobin; WithOrdered yields an ofarm whose collector releases results
-// in task order. A Farm is itself a Node and can appear anywhere in a graph.
+// Farm replicates a Worker across n parallel instances and releases their
+// outputs in task order (FastFlow's ordered farm, ofarm): tagger → workers
+// → reordering collector. Each task may emit any number of outputs; the
+// outputs of task k are released, contiguously, before those of task k+1.
+// A Farm is itself a Node and can appear anywhere in a graph.
 type Farm[In, Out any] struct {
 	n       int
 	factory func(workerID int) Worker[In, Out]
-	cfg     config
 }
 
 // NewFarm builds a farm of n workers. The factory is called once per worker
-// with the worker index, allowing per-worker state (e.g. a private RNG).
-func NewFarm[In, Out any](n int, factory func(workerID int) Worker[In, Out], opts ...Option) *Farm[In, Out] {
+// with the worker index, allowing per-worker state (e.g. private scratch).
+func NewFarm[In, Out any](n int, factory func(workerID int) Worker[In, Out]) *Farm[In, Out] {
 	if n < 1 {
 		n = 1
 	}
-	return &Farm[In, Out]{n: n, factory: factory, cfg: newConfig(opts)}
-}
-
-// NWorkers returns the degree of parallelism.
-func (f *Farm[In, Out]) NWorkers() int { return f.n }
-
-// Run implements Node.
-func (f *Farm[In, Out]) Run(ctx context.Context, in <-chan In, emit Emit[Out]) error {
-	if f.cfg.ordered {
-		return f.runOrdered(ctx, in, emit)
-	}
-	switch f.cfg.policy {
-	case RoundRobin:
-		if f.cfg.spscLinks {
-			return f.runRoundRobinSPSC(ctx, in, emit)
-		}
-		return f.runRoundRobin(ctx, in, emit)
-	default:
-		return f.runOnDemand(ctx, in, emit)
-	}
-}
-
-// runOnDemand shares the input channel across all workers: an idle worker
-// picks up the next task, which auto-balances uneven service times.
-func (f *Farm[In, Out]) runOnDemand(ctx context.Context, in <-chan In, emit Emit[Out]) error {
-	collect := make(chan Out, f.cfg.queueDepth)
-	g := newGroup(ctx)
-
-	workers := newGroup(g.ctx)
-	for w := 0; w < f.n; w++ {
-		worker := f.factory(w)
-		workers.Go(func(ctx context.Context) error {
-			wemit := emitTo(ctx, collect)
-			for {
-				task, ok, err := recvOne(ctx, in)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				if err := worker.Do(ctx, task, wemit); err != nil {
-					return err
-				}
-			}
-		})
-	}
-	g.Go(func(ctx context.Context) error {
-		defer close(collect)
-		return workers.Wait()
-	})
-	g.Go(func(ctx context.Context) error {
-		return runCollector(ctx, collect, emit)
-	})
-	return g.Wait()
-}
-
-// runRoundRobin cycles tasks over dedicated per-worker queues.
-func (f *Farm[In, Out]) runRoundRobin(ctx context.Context, in <-chan In, emit Emit[Out]) error {
-	queues := make([]chan In, f.n)
-	for i := range queues {
-		queues[i] = make(chan In, f.cfg.queueDepth)
-	}
-	collect := make(chan Out, f.cfg.queueDepth)
-	g := newGroup(ctx)
-
-	// Dispatcher.
-	g.Go(func(ctx context.Context) error {
-		defer func() {
-			for _, q := range queues {
-				close(q)
-			}
-		}()
-		next := 0
-		for {
-			task, ok, err := recvOne(ctx, in)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			select {
-			case queues[next] <- task:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			next = (next + 1) % f.n
-		}
-	})
-
-	workers := newGroup(g.ctx)
-	for w := 0; w < f.n; w++ {
-		worker := f.factory(w)
-		q := queues[w]
-		workers.Go(func(ctx context.Context) error {
-			wemit := emitTo(ctx, collect)
-			for {
-				task, ok, err := recvOne(ctx, q)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				if err := worker.Do(ctx, task, wemit); err != nil {
-					return err
-				}
-			}
-		})
-	}
-	g.Go(func(ctx context.Context) error {
-		defer close(collect)
-		return workers.Wait()
-	})
-	g.Go(func(ctx context.Context) error {
-		return runCollector(ctx, collect, emit)
-	})
-	return g.Wait()
-}
-
-// runRoundRobinSPSC is runRoundRobin with lock-free SPSC links instead of
-// native channels on the dispatcher→worker and worker→collector edges.
-// Each such edge is single-producer/single-consumer by construction, which
-// is exactly the setting the spsc building block targets.
-func (f *Farm[In, Out]) runRoundRobinSPSC(ctx context.Context, in <-chan In, emit Emit[Out]) error {
-	depth := f.cfg.queueDepth
-	if depth < 2 {
-		depth = 2
-	}
-	queues := make([]*spsc.Chan[In], f.n)
-	rets := make([]*spsc.Chan[Out], f.n)
-	for i := range queues {
-		queues[i] = spsc.NewChan[In](depth)
-		rets[i] = spsc.NewChan[Out](depth)
-	}
-	g := newGroup(ctx)
-
-	g.Go(func(ctx context.Context) error {
-		defer func() {
-			for _, q := range queues {
-				q.Close()
-			}
-		}()
-		next := 0
-		for {
-			task, ok, err := recvOne(ctx, in)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := queues[next].Send(task); err != nil {
-				// The queue is closed only by a failing worker's
-				// cancellation bridge; step aside and let the worker's
-				// error surface from the workers group instead of racing
-				// it with a secondary dispatch error.
-				return nil
-			}
-			next = (next + 1) % f.n
-		}
-	})
-
-	workers := newGroup(g.ctx)
-	for w := 0; w < f.n; w++ {
-		worker := f.factory(w)
-		q := queues[w]
-		ret := rets[w]
-		workers.Go(func(ctx context.Context) error {
-			// SPSC Send/Recv are context-blind, so bridge cancellation by
-			// closing both endpoints: this unparks this worker (Recv),
-			// the dispatcher (Send on a full queue) and the collector.
-			stop := context.AfterFunc(ctx, func() {
-				q.Close()
-				ret.Close()
-			})
-			defer stop()
-			defer ret.Close()
-			wemit := func(v Out) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return ret.Send(v)
-			}
-			for {
-				task, ok := q.Recv()
-				if !ok {
-					return ctx.Err()
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := worker.Do(ctx, task, wemit); err != nil {
-					return err
-				}
-			}
-		})
-	}
-	// Collector: polls the per-worker return queues so that a worker with
-	// no pending output can never stall the others (a blocking round-robin
-	// would deadlock the farm on uneven 0..n output cardinalities).
-	g.Go(func(ctx context.Context) error {
-		open := f.n
-		done := make([]bool, f.n)
-		for open > 0 {
-			progressed := false
-			for w := 0; w < f.n; w++ {
-				if done[w] {
-					continue
-				}
-				v, ok, closed := rets[w].TryRecv()
-				switch {
-				case ok:
-					progressed = true
-					if err := emit(v); err != nil {
-						return err
-					}
-				case closed:
-					done[w] = true
-					open--
-					progressed = true
-				}
-			}
-			if !progressed {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				runtime.Gosched()
-			}
-		}
-		return nil
-	})
-	g.Go(func(ctx context.Context) error {
-		return workers.Wait()
-	})
-	return g.Wait()
+	return &Farm[In, Out]{n: n, factory: factory}
 }
 
 // taggedGroup carries the outputs a worker produced for one input task.
@@ -302,15 +58,14 @@ func (g *taggedGroup[Out]) flush(emit Emit[Out]) error {
 	return nil
 }
 
-// runOrdered implements the ordered farm (ofarm): the collector releases the
-// outputs of task k, contiguously, before any output of task k+1.
-func (f *Farm[In, Out]) runOrdered(ctx context.Context, in <-chan In, emit Emit[Out]) error {
+// Run implements Node.
+func (f *Farm[In, Out]) Run(ctx context.Context, in <-chan In, emit Emit[Out]) error {
 	type taggedTask struct {
 		seq  uint64
 		task In
 	}
-	taskq := make(chan taggedTask, f.cfg.queueDepth)
-	collect := make(chan taggedGroup[Out], f.cfg.queueDepth)
+	taskq := make(chan taggedTask, defaultQueueDepth)
+	collect := make(chan taggedGroup[Out], defaultQueueDepth)
 	g := newGroup(ctx)
 
 	// Tagger.
@@ -406,52 +161,4 @@ func (f *Farm[In, Out]) runOrdered(ctx context.Context, in <-chan In, emit Emit[
 		}
 	})
 	return g.Wait()
-}
-
-// runCollector serializes the concurrent worker emissions into ordered calls
-// of the downstream emit (which therefore never sees concurrency).
-func runCollector[Out any](ctx context.Context, collect <-chan Out, emit Emit[Out]) error {
-	for {
-		v, ok, err := recvOne(ctx, collect)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := emit(v); err != nil {
-			return err
-		}
-	}
-}
-
-// NewNodeFarm replicates a full stream Node across n instances sharing the
-// input stream (on-demand) and merging their outputs. Unlike Farm, each
-// replica is a long-lived stream transformer, so stateful nodes (e.g. whole
-// inner pipelines) can be farmed — this is the "farm of simulation
-// pipelines" structure the distributed CWC simulator uses.
-func NewNodeFarm[In, Out any](n int, factory func(replica int) Node[In, Out], opts ...Option) Node[In, Out] {
-	if n < 1 {
-		n = 1
-	}
-	cfg := newConfig(opts)
-	return NodeFunc[In, Out](func(ctx context.Context, in <-chan In, emit Emit[Out]) error {
-		collect := make(chan Out, cfg.queueDepth)
-		g := newGroup(ctx)
-		replicas := newGroup(g.ctx)
-		for i := 0; i < n; i++ {
-			node := factory(i)
-			replicas.Go(func(ctx context.Context) error {
-				return node.Run(ctx, in, emitTo(ctx, collect))
-			})
-		}
-		g.Go(func(ctx context.Context) error {
-			defer close(collect)
-			return replicas.Wait()
-		})
-		g.Go(func(ctx context.Context) error {
-			return runCollector(ctx, collect, emit)
-		})
-		return g.Wait()
-	})
 }

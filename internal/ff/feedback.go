@@ -78,9 +78,6 @@ func NewFarmFeedback[In, Out any](n int, factory func(workerID int) FeedbackWork
 // called before Run. A nil queue restores the default FIFO.
 func (f *FarmFeedback[In, Out]) SetTaskQueue(q TaskQueue[In]) { f.queue = q }
 
-// NWorkers returns the degree of parallelism.
-func (f *FarmFeedback[In, Out]) NWorkers() int { return f.n }
-
 // Run implements Node.
 func (f *FarmFeedback[In, Out]) Run(ctx context.Context, in <-chan In, emit Emit[Out]) error {
 	taskqDepth := f.cfg.queueDepth
@@ -188,4 +185,21 @@ func (f *FarmFeedback[In, Out]) Run(ctx context.Context, in <-chan In, emit Emit
 		return runCollector(ctx, collect, emit)
 	})
 	return g.Wait()
+}
+
+// runCollector serializes the concurrent worker emissions into ordered calls
+// of the downstream emit (which therefore never sees concurrency).
+func runCollector[Out any](ctx context.Context, collect <-chan Out, emit Emit[Out]) error {
+	for {
+		v, ok, err := recvOne(ctx, collect)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+		if err := emit(v); err != nil {
+			return err
+		}
+	}
 }

@@ -1,21 +1,20 @@
 // Package ff is a pattern-based stream-parallel runtime in the spirit of
-// FastFlow, built on goroutines and channels.
+// FastFlow, built on goroutines and channels. It holds the patterns the
+// CWC pipeline runs and nothing else:
 //
-// The package mirrors FastFlow's layered design:
+//   - Compose, the pipeline: simulation → alignment → windows →
+//     statistics, plus Tee to tap a stream and MapNode for sequential
+//     stages;
+//   - FarmFeedback, the farm with feedback: simulation engines advance a
+//     trajectory by one quantum and hand it back to the dispatcher until it
+//     ends (core.Run, the serve pool and every cwc-dist worker run one);
+//   - Farm, the ordered farm (ofarm): statistical engines analyse windows in
+//     parallel and the collector releases results in window order.
 //
-//   - Building blocks: Node (a stream transformer), Emit (a
-//     backpressure-aware output function), and the lock-free SPSC queues in
-//     the spsc subpackage.
-//   - Core patterns: Compose (pipeline), Farm (task-farm with pluggable
-//     scheduling), FarmFeedback (farm whose workers can reschedule tasks
-//     back to the dispatcher), implemented here.
-//   - High-level patterns: ParallelFor, Map, Reduce, MapReduce and
-//     DivideAndConquer in the parallel subpackage.
-//
-// All patterns are themselves Nodes, so they compose freely: a Farm can be a
-// pipeline stage, a pipeline can be a farm worker, and so on. Every pattern
-// honours context cancellation and propagates the first error raised by any
-// of its components, cancelling the rest of the graph.
+// Run drives a Source through a Node into a sink. Every pattern is a Node,
+// so they compose freely; every pattern honours context cancellation and
+// propagates the first error raised by any of its components, cancelling
+// the rest of the graph.
 package ff
 
 import "context"
@@ -57,17 +56,6 @@ func (f WorkerFunc[In, Out]) Do(ctx context.Context, task In, emit Emit[Out]) er
 	return f(ctx, task, emit)
 }
 
-// Transform lifts a pure 1:1 function into a Worker.
-func Transform[In, Out any](f func(In) (Out, error)) Worker[In, Out] {
-	return WorkerFunc[In, Out](func(_ context.Context, task In, emit Emit[Out]) error {
-		v, err := f(task)
-		if err != nil {
-			return err
-		}
-		return emit(v)
-	})
-}
-
 // MapNode lifts a pure 1:1 function into a sequential pipeline stage.
 func MapNode[In, Out any](f func(In) (Out, error)) Node[In, Out] {
 	return NodeFunc[In, Out](func(ctx context.Context, in <-chan In, emit Emit[Out]) error {
@@ -84,28 +72,6 @@ func MapNode[In, Out any](f func(In) (Out, error)) Node[In, Out] {
 					return err
 				}
 				if err := emit(out); err != nil {
-					return err
-				}
-			}
-		}
-	})
-}
-
-// FilterNode passes through only the values for which keep returns true.
-func FilterNode[T any](keep func(T) bool) Node[T, T] {
-	return NodeFunc[T, T](func(ctx context.Context, in <-chan T, emit Emit[T]) error {
-		for {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case v, ok := <-in:
-				if !ok {
-					return nil
-				}
-				if !keep(v) {
-					continue
-				}
-				if err := emit(v); err != nil {
 					return err
 				}
 			}

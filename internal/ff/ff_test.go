@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -18,9 +17,55 @@ func ints(n int) []int {
 	return s
 }
 
+// sourceSlice emits the items of a slice in order.
+func sourceSlice[T any](items []T) Source[T] {
+	return func(_ context.Context, emit Emit[T]) error {
+		for _, v := range items {
+			if err := emit(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// sourceFunc emits n values produced by gen(i).
+func sourceFunc[T any](n int, gen func(i int) T) Source[T] {
+	return func(_ context.Context, emit Emit[T]) error {
+		for i := 0; i < n; i++ {
+			if err := emit(gen(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// collect runs a graph and gathers all outputs into a slice, in emission
+// order.
+func collect[In, Out any](ctx context.Context, src Source[In], node Node[In, Out]) ([]Out, error) {
+	var out []Out
+	err := Run(ctx, src, node, func(v Out) error {
+		out = append(out, v)
+		return nil
+	})
+	return out, err
+}
+
+// transform lifts a pure 1:1 function into a farm Worker.
+func transform[In, Out any](f func(In) (Out, error)) Worker[In, Out] {
+	return WorkerFunc[In, Out](func(_ context.Context, task In, emit Emit[Out]) error {
+		v, err := f(task)
+		if err != nil {
+			return err
+		}
+		return emit(v)
+	})
+}
+
 func TestMapNode(t *testing.T) {
 	double := MapNode(func(v int) (int, error) { return 2 * v, nil })
-	got, err := Collect(context.Background(), SourceSlice(ints(100)), double)
+	got, err := collect(context.Background(), sourceSlice(ints(100)), double)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,23 +79,11 @@ func TestMapNode(t *testing.T) {
 	}
 }
 
-func TestFilterNode(t *testing.T) {
-	even := FilterNode(func(v int) bool { return v%2 == 0 })
-	got, err := Collect(context.Background(), SourceSlice(ints(10)), even)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 2, 4, 6, 8}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
 func TestComposePreservesOrder(t *testing.T) {
 	inc := MapNode(func(v int) (int, error) { return v + 1, nil })
 	sq := MapNode(func(v int) (int, error) { return v * v, nil })
 	p := Compose(inc, sq)
-	got, err := Collect(context.Background(), SourceSlice(ints(50)), p)
+	got, err := collect(context.Background(), sourceSlice(ints(50)), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +100,7 @@ func TestComposeThreeStages(t *testing.T) {
 	b := MapNode(func(v int) (int, error) { return v * 2, nil })
 	c := MapNode(func(v int) (string, error) { return fmt.Sprintf("#%d", v), nil })
 	p := Compose(Compose(a, b), c)
-	got, err := Collect(context.Background(), SourceSlice([]int{1, 2, 3}), p)
+	got, err := collect(context.Background(), sourceSlice([]int{1, 2, 3}), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +119,7 @@ func TestComposeErrorPropagates(t *testing.T) {
 		return v, nil
 	})
 	id := MapNode(func(v int) (int, error) { return v, nil })
-	_, err := Collect(context.Background(), SourceSlice(ints(100)), Compose(bad, id))
+	_, err := collect(context.Background(), sourceSlice(ints(100)), Compose(bad, id))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -101,63 +134,27 @@ func TestComposeSecondStageError(t *testing.T) {
 		}
 		return v, nil
 	})
-	_, err := Collect(context.Background(), SourceSlice(ints(100)), Compose(id, bad))
+	_, err := collect(context.Background(), sourceSlice(ints(100)), Compose(id, bad))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 
-func farmPolicies() []struct {
-	name string
-	opts []Option
-} {
-	return []struct {
-		name string
-		opts []Option
-	}{
-		{"on-demand", []Option{WithPolicy(OnDemand)}},
-		{"round-robin", []Option{WithPolicy(RoundRobin)}},
-		{"round-robin-spsc", []Option{WithPolicy(RoundRobin), WithSPSCLinks()}},
-		{"ordered", []Option{WithOrdered()}},
-		{"on-demand-deep", []Option{WithPolicy(OnDemand), WithQueueDepth(16)}},
-	}
-}
-
-func TestFarmAllPoliciesCompleteness(t *testing.T) {
-	const n = 500
-	for _, tc := range farmPolicies() {
-		t.Run(tc.name, func(t *testing.T) {
-			farm := NewFarm(4, func(int) Worker[int, int] {
-				return Transform(func(v int) (int, error) { return v * 3, nil })
-			}, tc.opts...)
-			got, err := Collect(context.Background(), SourceSlice(ints(n)), farm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != n {
-				t.Fatalf("len = %d, want %d", len(got), n)
-			}
-			sort.Ints(got)
-			for i, v := range got {
-				if v != 3*i {
-					t.Fatalf("sorted got[%d] = %d, want %d", i, v, 3*i)
-				}
-			}
-		})
-	}
-}
-
 func TestFarmOrderedPreservesOrder(t *testing.T) {
+	const n = 500
 	farm := NewFarm(8, func(int) Worker[int, int] {
-		return Transform(func(v int) (int, error) { return v, nil })
-	}, WithOrdered())
-	got, err := Collect(context.Background(), SourceSlice(ints(300)), farm)
+		return transform(func(v int) (int, error) { return v * 3, nil })
+	})
+	got, err := collect(context.Background(), sourceSlice(ints(n)), farm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != n {
+		t.Fatalf("len = %d, want %d", len(got), n)
+	}
 	for i, v := range got {
-		if v != i {
-			t.Fatalf("got[%d] = %d: order not preserved", i, v)
+		if v != 3*i {
+			t.Fatalf("got[%d] = %d, want %d: order not preserved", i, v, 3*i)
 		}
 	}
 }
@@ -174,8 +171,8 @@ func TestFarmOrderedMultiOutput(t *testing.T) {
 			}
 			return nil
 		})
-	}, WithOrdered())
-	got, err := Collect(context.Background(), SourceSlice(ints(30)), farm)
+	})
+	got, err := collect(context.Background(), sourceSlice(ints(30)), farm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,31 +189,27 @@ func TestFarmOrderedMultiOutput(t *testing.T) {
 
 func TestFarmWorkerError(t *testing.T) {
 	boom := errors.New("worker boom")
-	for _, tc := range farmPolicies() {
-		t.Run(tc.name, func(t *testing.T) {
-			farm := NewFarm(3, func(int) Worker[int, int] {
-				return Transform(func(v int) (int, error) {
-					if v == 42 {
-						return 0, boom
-					}
-					return v, nil
-				})
-			}, tc.opts...)
-			_, err := Collect(context.Background(), SourceSlice(ints(200)), farm)
-			if !errors.Is(err, boom) {
-				t.Fatalf("err = %v, want %v", err, boom)
+	farm := NewFarm(3, func(int) Worker[int, int] {
+		return transform(func(v int) (int, error) {
+			if v == 42 {
+				return 0, boom
 			}
+			return v, nil
 		})
+	})
+	_, err := collect(context.Background(), sourceSlice(ints(200)), farm)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 
 func TestFarmContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	farm := NewFarm(2, func(int) Worker[int, int] {
-		return Transform(func(v int) (int, error) { return v, nil })
+		return transform(func(v int) (int, error) { return v, nil })
 	})
 	n := 0
-	err := Run(ctx, SourceFunc(1_000_000, func(i int) int { return i }), farm, func(int) error {
+	err := Run(ctx, sourceFunc(1_000_000, func(i int) int { return i }), farm, func(int) error {
 		n++
 		if n == 10 {
 			cancel()
@@ -231,14 +224,17 @@ func TestFarmContextCancellation(t *testing.T) {
 func TestFarmSingleWorkerDegeneratesToSequential(t *testing.T) {
 	var order []int
 	farm := NewFarm(1, func(int) Worker[int, int] {
-		return Transform(func(v int) (int, error) { return v, nil })
+		return transform(func(v int) (int, error) { return v, nil })
 	})
-	err := Run(context.Background(), SourceSlice(ints(100)), farm, func(v int) error {
+	err := Run(context.Background(), sourceSlice(ints(100)), farm, func(v int) error {
 		order = append(order, v)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(order) != 100 {
+		t.Fatalf("len = %d, want 100", len(order))
 	}
 	for i, v := range order {
 		if v != i {
@@ -251,24 +247,17 @@ func TestFarmProperty_NoLossNoDuplication(t *testing.T) {
 	f := func(values []int32, workers uint8) bool {
 		w := int(workers%7) + 1
 		farm := NewFarm(w, func(int) Worker[int32, int32] {
-			return Transform(func(v int32) (int32, error) { return v, nil })
+			return transform(func(v int32) (int32, error) { return v, nil })
 		})
-		got, err := Collect(context.Background(), SourceSlice(values), farm)
+		got, err := collect(context.Background(), sourceSlice(values), farm)
 		if err != nil {
 			return false
 		}
 		if len(got) != len(values) {
 			return false
 		}
-		count := make(map[int32]int)
-		for _, v := range values {
-			count[v]++
-		}
-		for _, v := range got {
-			count[v]--
-		}
-		for _, c := range count {
-			if c != 0 {
+		for i, v := range got {
+			if v != values[i] {
 				return false
 			}
 		}
@@ -292,7 +281,7 @@ func TestFarmFeedbackCountdown(t *testing.T) {
 			return &next, nil
 		})
 	})
-	got, err := Collect(context.Background(), SourceSlice([]int{3, 0, 5, 1, 7}), farm)
+	got, err := collect(context.Background(), sourceSlice([]int{3, 0, 5, 1, 7}), farm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +306,7 @@ func TestFarmFeedbackEmitsDuringSteps(t *testing.T) {
 		})
 	})
 	tasks := []int{2, 4, 0, 1}
-	got, err := Collect(context.Background(), SourceSlice(tasks), farm)
+	got, err := collect(context.Background(), sourceSlice(tasks), farm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +333,7 @@ func TestFarmFeedbackError(t *testing.T) {
 			return nil, nil
 		})
 	})
-	_, err := Collect(context.Background(), SourceSlice(ints(50)), farm)
+	_, err := collect(context.Background(), sourceSlice(ints(50)), farm)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -368,7 +357,7 @@ func TestFarmFeedbackProperty_OneCompletionPerTask(t *testing.T) {
 				return &next, nil
 			})
 		})
-		_, err := Collect(context.Background(), SourceSlice(tasks), farm)
+		_, err := collect(context.Background(), sourceSlice(tasks), farm)
 		return err == nil && completions.Load() == int64(len(tasks))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -376,29 +365,10 @@ func TestFarmFeedbackProperty_OneCompletionPerTask(t *testing.T) {
 	}
 }
 
-func TestNodeFarmMergesReplicas(t *testing.T) {
-	node := NewNodeFarm(3, func(replica int) Node[int, int] {
-		return MapNode(func(v int) (int, error) { return v, nil })
-	})
-	got, err := Collect(context.Background(), SourceSlice(ints(200)), node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 200 {
-		t.Fatalf("len = %d, want 200", len(got))
-	}
-	sort.Ints(got)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("lost/duplicated element at %d: %d", i, v)
-		}
-	}
-}
-
 func TestTee(t *testing.T) {
 	var side []int
 	tee := Tee(func(v int) error { side = append(side, v); return nil })
-	got, err := Collect(context.Background(), SourceSlice(ints(10)), tee)
+	got, err := collect(context.Background(), sourceSlice(ints(10)), tee)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,34 +377,9 @@ func TestTee(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if OnDemand.String() != "on-demand" || RoundRobin.String() != "round-robin" {
-		t.Fatal("Policy.String mismatch")
-	}
-	if Policy(99).String() != "unknown" {
-		t.Fatal("unknown policy should stringify to unknown")
-	}
-}
-
-func BenchmarkFarmOnDemand(b *testing.B) {
-	benchFarm(b, WithPolicy(OnDemand))
-}
-
-func BenchmarkFarmRoundRobin(b *testing.B) {
-	benchFarm(b, WithPolicy(RoundRobin))
-}
-
-func BenchmarkFarmRoundRobinSPSC(b *testing.B) {
-	benchFarm(b, WithPolicy(RoundRobin), WithSPSCLinks())
-}
-
 func BenchmarkFarmOrdered(b *testing.B) {
-	benchFarm(b, WithOrdered())
-}
-
-func benchFarm(b *testing.B, opts ...Option) {
 	farm := NewFarm(4, func(int) Worker[int, int] {
-		return Transform(func(v int) (int, error) {
+		return transform(func(v int) (int, error) {
 			// Small synthetic grain.
 			s := 0
 			for i := 0; i < 64; i++ {
@@ -442,9 +387,9 @@ func benchFarm(b *testing.B, opts ...Option) {
 			}
 			return s, nil
 		})
-	}, opts...)
+	})
 	b.ResetTimer()
-	err := Run(context.Background(), SourceFunc(b.N, func(i int) int { return i }), farm, func(int) error { return nil })
+	err := Run(context.Background(), sourceFunc(b.N, func(i int) int { return i }), farm, func(int) error { return nil })
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,13 +5,11 @@ import (
 	"sync"
 )
 
-// Group runs goroutines under a shared context, cancelling all of them on
+// group runs goroutines under a shared context, cancelling all of them on
 // the first error and reporting that error from Wait — a minimal errgroup
 // kept in-tree to avoid a dependency on golang.org/x/sync. All the
-// pattern runtimes in this package are built on it, and it is exported for
-// graph assemblies (e.g. the distributed master) that need the same
-// teardown discipline.
-type Group struct {
+// pattern runtimes in this package are built on it.
+type group struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -20,19 +18,16 @@ type Group struct {
 	err  error
 }
 
-// NewGroup returns a group whose goroutines run under a context derived
+// newGroup returns a group whose goroutines run under a context derived
 // from parent.
-func NewGroup(parent context.Context) *Group {
+func newGroup(parent context.Context) *group {
 	ctx, cancel := context.WithCancel(parent)
-	return &Group{ctx: ctx, cancel: cancel}
+	return &group{ctx: ctx, cancel: cancel}
 }
-
-// Context returns the group's context (cancelled on first error or Wait).
-func (g *Group) Context() context.Context { return g.ctx }
 
 // Go runs f in a goroutine. The first non-nil error cancels the group
 // context.
-func (g *Group) Go(f func(ctx context.Context) error) {
+func (g *group) Go(f func(ctx context.Context) error) {
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
@@ -46,11 +41,8 @@ func (g *Group) Go(f func(ctx context.Context) error) {
 }
 
 // Wait blocks until all goroutines finish and returns the first error.
-func (g *Group) Wait() error {
+func (g *group) Wait() error {
 	g.wg.Wait()
 	g.cancel()
 	return g.err
 }
-
-// newGroup is the internal alias used by the pattern implementations.
-func newGroup(parent context.Context) *Group { return NewGroup(parent) }

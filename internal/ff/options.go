@@ -1,51 +1,28 @@
 package ff
 
-// Policy selects how a Farm dispatches tasks to workers.
-type Policy int
-
-const (
-	// OnDemand lets idle workers steal the next task from a shared
-	// short queue: the auto-balancing policy, best for tasks with uneven
-	// service times (FastFlow's on-demand scheduling).
-	OnDemand Policy = iota
-	// RoundRobin statically cycles tasks over per-worker queues, the
-	// lowest-overhead policy for even workloads.
-	RoundRobin
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case OnDemand:
-		return "on-demand"
-	case RoundRobin:
-		return "round-robin"
-	default:
-		return "unknown"
-	}
-}
+// defaultQueueDepth is the capacity of the channels connecting pattern
+// components: 1 gives the near-synchronous links FastFlow uses and the
+// tightest load balancing.
+const defaultQueueDepth = 1
 
 type config struct {
 	queueDepth int
-	policy     Policy
-	ordered    bool
-	spscLinks  bool
 }
 
 func newConfig(opts []Option) config {
-	cfg := config{queueDepth: 1, policy: OnDemand}
+	cfg := config{queueDepth: defaultQueueDepth}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return cfg
 }
 
-// Option configures a pattern.
+// Option configures a FarmFeedback.
 type Option func(*config)
 
-// WithQueueDepth sets the capacity of the internal channels connecting
-// pattern components. Depth 1 gives the tightest load balancing; larger
-// depths trade balance for throughput on fine-grained streams.
+// WithQueueDepth sets the capacity of the farm's dispatch and collect
+// channels. Larger depths trade balance for throughput on fine-grained
+// streams.
 func WithQueueDepth(n int) Option {
 	return func(c *config) {
 		if n < 0 {
@@ -53,24 +30,4 @@ func WithQueueDepth(n int) Option {
 		}
 		c.queueDepth = n
 	}
-}
-
-// WithPolicy selects the farm scheduling policy.
-func WithPolicy(p Policy) Option {
-	return func(c *config) { c.policy = p }
-}
-
-// WithOrdered makes the farm collector release results in input order
-// (FastFlow's ofarm). Each task may emit any number of outputs; the outputs
-// of task k are released, contiguously, before those of task k+1.
-func WithOrdered() Option {
-	return func(c *config) { c.ordered = true }
-}
-
-// WithSPSCLinks replaces the native channels between the farm dispatcher and
-// the workers with the lock-free SPSC queues from the spsc subpackage.
-// Only meaningful with the RoundRobin policy, where every link is
-// single-producer/single-consumer by construction.
-func WithSPSCLinks() Option {
-	return func(c *config) { c.spscLinks = true }
 }

@@ -3,17 +3,16 @@ package ff
 import "context"
 
 // Compose connects two nodes into a pipeline stage: the output stream of
-// first becomes the input stream of second. Both nodes run concurrently;
-// the connecting channel capacity is controlled by WithQueueDepth (default
-// 1, matching the near-synchronous channels FastFlow pipelines use).
+// first becomes the input stream of second. Both nodes run concurrently,
+// linked by a channel of capacity 1 (the near-synchronous channels FastFlow
+// pipelines use).
 //
 // Compose returns a Node, so pipelines of any length are built by nesting:
 //
 //	p := ff.Compose(a, ff.Compose(b, c))
-func Compose[A, B, C any](first Node[A, B], second Node[B, C], opts ...Option) Node[A, C] {
-	cfg := newConfig(opts)
+func Compose[A, B, C any](first Node[A, B], second Node[B, C]) Node[A, C] {
 	return NodeFunc[A, C](func(ctx context.Context, in <-chan A, emit Emit[C]) error {
-		mid := make(chan B, cfg.queueDepth)
+		mid := make(chan B, defaultQueueDepth)
 		g := newGroup(ctx)
 		g.Go(func(ctx context.Context) error {
 			defer close(mid)

@@ -6,36 +6,11 @@ import "context"
 // values are emitted (or on emit error); the runtime closes the stream.
 type Source[T any] func(ctx context.Context, emit Emit[T]) error
 
-// SourceSlice emits the items of a slice in order.
-func SourceSlice[T any](items []T) Source[T] {
-	return func(_ context.Context, emit Emit[T]) error {
-		for _, v := range items {
-			if err := emit(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// SourceFunc emits n values produced by gen(i).
-func SourceFunc[T any](n int, gen func(i int) T) Source[T] {
-	return func(_ context.Context, emit Emit[T]) error {
-		for i := 0; i < n; i++ {
-			if err := emit(gen(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // Run drives a complete graph: source → node → sink. The sink is called
 // sequentially (never concurrently). Run blocks until the graph drains or
 // fails, and returns the first error.
 func Run[In, Out any](ctx context.Context, src Source[In], node Node[In, Out], sink func(Out) error) error {
-	cfg := newConfig(nil)
-	input := make(chan In, cfg.queueDepth)
+	input := make(chan In, defaultQueueDepth)
 	g := newGroup(ctx)
 	g.Go(func(ctx context.Context) error {
 		defer close(input)
@@ -50,15 +25,4 @@ func Run[In, Out any](ctx context.Context, src Source[In], node Node[In, Out], s
 		})
 	})
 	return g.Wait()
-}
-
-// Collect runs a graph and gathers all outputs into a slice, in emission
-// order. Intended for tests and small workloads.
-func Collect[In, Out any](ctx context.Context, src Source[In], node Node[In, Out]) ([]Out, error) {
-	var out []Out
-	err := Run(ctx, src, node, func(v Out) error {
-		out = append(out, v)
-		return nil
-	})
-	return out, err
 }

@@ -3,9 +3,9 @@
 // model.
 //
 // The paper offloads CWC simulation quanta to an NVidia K40 through
-// FastFlow's mapCUDA node; this environment has no GPU, so the device is
-// simulated (see DESIGN.md, substitutions). The simulation is functional
-// *and* temporal:
+// FastFlow's mapCUDA node; the reproduction assumes no GPU, so the device
+// is simulated (see docs/ARCHITECTURE.md, "The evaluation substitute").
+// The simulation is functional *and* temporal:
 //
 //   - functionally, every work item runs its real Go kernel closure, so the
 //     offloaded computation produces exactly the results the CPU path
@@ -27,8 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"cwcflow/internal/ff/parallel"
 )
 
 // Device models a CUDA-like accelerator.
@@ -57,10 +55,6 @@ type DeviceConfig struct {
 	// simulated seconds on one lane. It calibrates the model against a
 	// concrete device's single-thread throughput.
 	SecondsPerCost float64
-	// HostParallelism bounds the goroutines used to actually execute
-	// kernel closures; 0 means 1 (adequate for the timing model — the
-	// functional result never depends on it).
-	HostParallelism int
 }
 
 // TeslaK40 returns a configuration approximating the NVidia Tesla K40 used
@@ -70,13 +64,12 @@ type DeviceConfig struct {
 // a GPU only wins through massive parallelism.
 func TeslaK40() DeviceConfig {
 	return DeviceConfig{
-		Name:            "tesla-k40",
-		SMs:             15,
-		CoresPerSM:      192,
-		WarpSize:        32,
-		LaunchOverhead:  20e-6,
-		SecondsPerCost:  10e-9,
-		HostParallelism: 1,
+		Name:           "tesla-k40",
+		SMs:            15,
+		CoresPerSM:     192,
+		WarpSize:       32,
+		LaunchOverhead: 20e-6,
+		SecondsPerCost: 10e-9,
 	}
 }
 
@@ -96,9 +89,6 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	}
 	if cfg.LaunchOverhead < 0 {
 		return nil, errors.New("gpu: LaunchOverhead must be non-negative")
-	}
-	if cfg.HostParallelism < 1 {
-		cfg.HostParallelism = 1
 	}
 	return &Device{cfg: cfg}, nil
 }
@@ -144,10 +134,11 @@ func (s LaunchStats) Utilization() float64 {
 	return s.BusyCost / s.LockstepCost
 }
 
-// Launch executes n work items as one kernel. It blocks until every item
-// has completed (the CUDA kernel-wide barrier: results of a launch are not
-// observable before the whole kernel finishes) and returns the simulated
-// timing under the SIMT model.
+// Launch executes n work items as one kernel, in index order on the calling
+// goroutine, checking ctx before each item and stopping at the first error.
+// It returns once every item has completed (the CUDA kernel-wide barrier:
+// results of a launch are not observable before the whole kernel finishes)
+// with the simulated timing under the SIMT model.
 func (d *Device) Launch(ctx context.Context, n int, k Kernel) (LaunchStats, error) {
 	stats := LaunchStats{Items: n}
 	if n <= 0 {
@@ -155,19 +146,18 @@ func (d *Device) Launch(ctx context.Context, n int, k Kernel) (LaunchStats, erro
 		return stats, nil
 	}
 	costs := make([]float64, n)
-	err := parallel.For(ctx, d.cfg.HostParallelism, n, 0, func(i int) error {
+	for i := range costs {
+		if err := ctx.Err(); err != nil {
+			return LaunchStats{}, err
+		}
 		c, err := k(i)
 		if err != nil {
-			return fmt.Errorf("gpu: kernel item %d: %w", i, err)
+			return LaunchStats{}, fmt.Errorf("gpu: kernel item %d: %w", i, err)
 		}
 		if c < 0 {
-			return fmt.Errorf("gpu: kernel item %d reported negative cost %g", i, c)
+			return LaunchStats{}, fmt.Errorf("gpu: kernel item %d reported negative cost %g", i, c)
 		}
 		costs[i] = c
-		return nil
-	})
-	if err != nil {
-		return LaunchStats{}, err
 	}
 
 	ws := d.cfg.WarpSize

@@ -3,15 +3,16 @@
 // given core count and speed, connected by links with latency and
 // bandwidth.
 //
-// The paper evaluates on machines this environment does not have (a
-// 32-core Nehalem, an Infiniband cluster, Amazon EC2, a Tesla K40). Per
-// the substitution rules in DESIGN.md, the speedup figures are reproduced
-// on this model: the per-stage service times are calibrated against the
-// real single-core engines, and the qualitative effects the paper's curves
-// show — load imbalance across uneven trajectories, the sequential
-// alignment stage, the statistics farm bottleneck, network overhead per
-// host, core contention between pipeline stages — all emerge from the
-// simulation structure rather than being curve-fitted.
+// The paper evaluates on machines the reproduction does not assume (a
+// 32-core Nehalem, an Infiniband cluster, Amazon EC2, a Tesla K40). As
+// docs/ARCHITECTURE.md ("The evaluation substitute") sets out, the speedup
+// figures are reproduced on this model: the per-stage service times are
+// calibrated against the real single-core engines, and the qualitative
+// effects the paper's curves show — load imbalance across uneven
+// trajectories, the sequential alignment stage, the statistics farm
+// bottleneck, network overhead per host, core contention between pipeline
+// stages — all emerge from the simulation structure rather than being
+// curve-fitted.
 package platform
 
 import (

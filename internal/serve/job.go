@@ -864,8 +864,9 @@ func (j *Job) publishLocked(ws core.WindowStat, lat time.Duration) {
 	}
 	if j.windows == j.startSeq {
 		// First window out of this run of the job: the time-to-first-result
-		// edge of the trace.
-		j.trace.Event("first-window", "", "")
+		// edge of the trace. The detail counts the trajectories already
+		// finished, so a streaming job shows how early its first window came.
+		j.trace.Event("first-window", "", fmt.Sprintf("tasks_done=%d", j.tasksDone))
 	}
 	j.windows++
 	j.metrics.windows.Inc()

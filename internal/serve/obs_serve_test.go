@@ -256,6 +256,22 @@ func TestTracePropagatesAcrossProcesses(t *testing.T) {
 	if !hasSpan(spans, "worker-stream", workerOrigin) {
 		t.Fatalf("trace has no worker-stream span from %s; got %v", workerOrigin, spanNames(spans))
 	}
+	// The first-window event carries the trajectories finished when the
+	// first window was published; scripts/distributed_smoke.sh parses it.
+	var first []string
+	for _, s := range spans {
+		if s.Name == "first-window" {
+			first = append(first, s.Detail)
+		}
+	}
+	if len(first) != 1 {
+		t.Fatalf("trace has %d first-window events, want 1: %q", len(first), first)
+	}
+	var done int
+	_, err = fmt.Sscanf(first[0], "tasks_done=%d", &done)
+	if err != nil || first[0] != fmt.Sprintf("tasks_done=%d", done) || done < 0 || done > walkSpec().Trajectories {
+		t.Fatalf("first-window detail %q, want tasks_done=<0..%d>", first[0], walkSpec().Trajectories)
+	}
 	for _, s := range spans {
 		if s.Trace != traceID {
 			t.Fatalf("span %q carries trace id %q, want %q", s.Name, s.Trace, traceID)

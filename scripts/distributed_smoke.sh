@@ -85,22 +85,19 @@ fi
 echo "OK: cwc-dist master CSV byte-identical to cwc-sim"
 
 # Streaming check, by counts and not by the clock: at the moment the first
-# window event of a 64-trajectory job arrives, fewer than half of its
+# window of a 64-trajectory job is published, fewer than half of its
 # trajectories may have finished. Run-to-completion dispatch fails this
 # (window 0 closes only when the last trajectory starts); slab dispatch
-# publishes window 0 a sixth of the way into every trajectory.
+# publishes window 0 a sixth of the way into every trajectory. The server
+# takes the count itself, under the job lock, as the detail of the job
+# trace's first-window event.
 HEAVY='{"model":"neurospora","omega":100,"trajectories":64,"end":48,"period":0.5,"window":16,"seed":43}'
 ID=$(curl -fsS "http://$DIST/jobs" -d "$HEAVY" | jq -re .id)
-DONE_AT_FIRST=
-while IFS= read -r line; do
-  if [ "$(jq -r .type <<<"$line")" = window ]; then
-    DONE_AT_FIRST=$(curl -fsS "http://$DIST/jobs/$ID" | jq -re .progress.tasks_done)
-    break
-  fi
-done < <(curl -fsSN "http://$DIST/jobs/$ID/stream" 2>/dev/null) # cut off at the first window: its write error is expected
 curl -fsS "http://$DIST/jobs/$ID/result?wait=true" >"$BIN/heavy.json"
 STATE=$(jq -re .status.state "$BIN/heavy.json")
 REMOTE_DONE=$(jq -r '.status.progress.remote_tasks_done // 0' "$BIN/heavy.json")
+DONE_AT_FIRST=$(curl -fsS "http://$DIST/jobs/$ID/trace" |
+  jq -r 'select(.name == "first-window") | .detail' | sed -n 's/^tasks_done=\([0-9]*\)$/\1/p' | head -n 1)
 echo "streaming job: state=$STATE tasks_done at first window=${DONE_AT_FIRST:-none}/64 remote_tasks_done=$REMOTE_DONE"
 if [ "$STATE" != "done" ] || [ "$REMOTE_DONE" -lt 1 ]; then
   echo "FAIL: the streaming job ended $STATE with $REMOTE_DONE trajectories finished remotely" >&2
