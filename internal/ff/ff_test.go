@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -140,6 +141,98 @@ func TestComposeSecondStageError(t *testing.T) {
 	}
 }
 
+// laneQueue is a TaskQueue that dispatches round-robin across v%len(lanes)
+// lanes, FIFO within a lane: the shape of the serve pool's fair queue.
+type laneQueue struct {
+	lanes [][]int
+	next  int
+	n     int
+}
+
+func (q *laneQueue) Push(v int) {
+	l := v % len(q.lanes)
+	q.lanes[l] = append(q.lanes[l], v)
+	q.n++
+}
+
+func (q *laneQueue) Pop() (int, bool) {
+	for i := range q.lanes {
+		l := (q.next + i) % len(q.lanes)
+		if len(q.lanes[l]) > 0 {
+			v := q.lanes[l][0]
+			q.lanes[l] = q.lanes[l][1:]
+			q.next = l + 1
+			q.n--
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+func (q *laneQueue) Len() int { return q.n }
+
+// farmPolicies lists the dispatch paths left in the package, each built
+// around the same 1:1 function: the ordered farm, and the on-demand
+// feedback farm with its default queue depth, a deep queue, and a
+// round-robin TaskQueue (the rendezvous path a pluggable queue selects).
+func farmPolicies() []struct {
+	name  string
+	build func(n int, f func(int) (int, error)) Node[int, int]
+} {
+	feedback := func(n int, f func(int) (int, error), opts ...Option) *FarmFeedback[int, int] {
+		return NewFarmFeedback(n, func(int) FeedbackWorker[int, int] {
+			return FeedbackWorkerFunc[int, int](func(_ context.Context, task int, emit Emit[int]) (*int, error) {
+				v, err := f(task)
+				if err != nil {
+					return nil, err
+				}
+				return nil, emit(v)
+			})
+		}, opts...)
+	}
+	return []struct {
+		name  string
+		build func(n int, f func(int) (int, error)) Node[int, int]
+	}{
+		{"on-demand", func(n int, f func(int) (int, error)) Node[int, int] {
+			return feedback(n, f)
+		}},
+		{"round-robin", func(n int, f func(int) (int, error)) Node[int, int] {
+			farm := feedback(n, f)
+			farm.SetTaskQueue(&laneQueue{lanes: make([][]int, 4)})
+			return farm
+		}},
+		{"ordered", func(n int, f func(int) (int, error)) Node[int, int] {
+			return NewFarm(n, func(int) Worker[int, int] { return transform(f) })
+		}},
+		{"on-demand-deep", func(n int, f func(int) (int, error)) Node[int, int] {
+			return feedback(n, f, WithQueueDepth(16))
+		}},
+	}
+}
+
+func TestFarmAllPoliciesCompleteness(t *testing.T) {
+	const n = 500
+	for _, tc := range farmPolicies() {
+		t.Run(tc.name, func(t *testing.T) {
+			farm := tc.build(4, func(v int) (int, error) { return v * 3, nil })
+			got, err := collect(context.Background(), sourceSlice(ints(n)), farm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("len = %d, want %d", len(got), n)
+			}
+			sort.Ints(got)
+			for i, v := range got {
+				if v != 3*i {
+					t.Fatalf("sorted got[%d] = %d, want %d", i, v, 3*i)
+				}
+			}
+		})
+	}
+}
+
 func TestFarmOrderedPreservesOrder(t *testing.T) {
 	const n = 500
 	farm := NewFarm(8, func(int) Worker[int, int] {
@@ -189,17 +282,19 @@ func TestFarmOrderedMultiOutput(t *testing.T) {
 
 func TestFarmWorkerError(t *testing.T) {
 	boom := errors.New("worker boom")
-	farm := NewFarm(3, func(int) Worker[int, int] {
-		return transform(func(v int) (int, error) {
-			if v == 42 {
-				return 0, boom
+	for _, tc := range farmPolicies() {
+		t.Run(tc.name, func(t *testing.T) {
+			farm := tc.build(3, func(v int) (int, error) {
+				if v == 42 {
+					return 0, boom
+				}
+				return v, nil
+			})
+			_, err := collect(context.Background(), sourceSlice(ints(200)), farm)
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want %v", err, boom)
 			}
-			return v, nil
 		})
-	})
-	_, err := collect(context.Background(), sourceSlice(ints(200)), farm)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 
