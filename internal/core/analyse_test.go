@@ -89,16 +89,17 @@ func TestAnalyseWindowAllocationFree(t *testing.T) {
 	}
 }
 
-// TestAnalyseWindowIntoMatchesAnalyseWindow pins that the reusable-scratch
-// path computes exactly what the convenience path computes — which is also
-// what makes a farm of engines deterministic regardless of its width.
+// TestAnalyseWindowIntoMatchesAnalyseWindow pins that a reused engine and
+// WindowStat compute exactly what a fresh engine and WindowStat compute —
+// which is also what makes a farm of engines deterministic regardless of
+// its width.
 func TestAnalyseWindowIntoMatchesAnalyseWindow(t *testing.T) {
 	w := syntheticWindow(16, 32, 2)
 	species := []int{0, 1}
 	cfg := analyseCfg()
 
-	ref, err := AnalyseWindow(w, species, cfg)
-	if err != nil {
+	var ref WindowStat
+	if err := AnalyseWindowInto(&ref, stats.NewEngine(), w, species, cfg); err != nil {
 		t.Fatal(err)
 	}
 	eng := stats.NewEngine()

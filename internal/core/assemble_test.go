@@ -203,8 +203,10 @@ func TestRunAssemblesSlidingWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []WindowStat
+	eng := stats.NewEngine()
 	analyse := func(w window.Window) error {
-		ws, err := AnalyseWindow(w, species, ncfg)
+		var ws WindowStat
+		err := AnalyseWindowInto(&ws, eng, w, species, ncfg)
 		want = append(want, ws)
 		return err
 	}

@@ -1,5 +1,5 @@
 // Package core assembles the CWC simulation-analysis pipeline — the
-// paper's primary artifact (Fig. 2) — from the stream-skeleton runtime:
+// paper's primary artifact (Fig. 2):
 //
 //	generation of simulation tasks
 //	  → farm of simulation engines (on-demand scheduling, feedback
@@ -10,17 +10,22 @@
 //	    k-means / period detection), gathered in order
 //	  → display of results (user sink, e.g. CSV writer)
 //
-// Everything runs concurrently: statistics stream out while simulations
-// are still running, which is the point of the paper's on-line design.
-// The same pipeline retargets distributed deployments (package dff) and a
-// simulated GPGPU (RunGPU) with configuration-level changes only.
+// The first two stages are the simulation stage, and only they change
+// between deployments: Run feeds an ff.FarmFeedback of engines, RunGPU a
+// simulated SIMT device, and the serve package a shared pool and remote
+// workers. The rest is one type, Analysis, with its StatFarm; all three
+// drive it. Everything runs concurrently: statistics stream out while
+// simulations are still running, which is the point of the paper's
+// on-line design.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"cwcflow/internal/ff"
 	"cwcflow/internal/sim"
@@ -152,27 +157,21 @@ type RunInfo struct {
 
 // Run executes the full pipeline on shared memory, invoking display for
 // every WindowStat in window order. It returns when every window has been
-// analysed and displayed.
+// analysed and displayed. display is called sequentially, from the
+// engines of the run's stat farm.
 func Run(ctx context.Context, cfg Config, display func(WindowStat) error) (RunInfo, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return RunInfo{}, err
 	}
-	if display == nil {
-		display = func(WindowStat) error { return nil }
+	species, err := resolveSpecies(cfg)
+	if err != nil {
+		return RunInfo{Trajectories: cfg.Trajectories}, err
 	}
 
-	var info RunInfo
-	info.Trajectories = cfg.Trajectories
 	var samples atomic.Int64
 	var reactions atomic.Uint64
 	var dead atomic.Int64
-	var cutsEmitted atomic.Int64
-
-	species, err := resolveSpecies(cfg)
-	if err != nil {
-		return info, err
-	}
 
 	// Stage 1: generation of simulation tasks.
 	source := ff.Source[*sim.Task](func(_ context.Context, emit ff.Emit[*sim.Task]) error {
@@ -222,155 +221,132 @@ func Run(ctx context.Context, cfg Config, display func(WindowStat) error) (RunIn
 		})
 	})
 
-	// Stages 3–5: alignment → sliding windows → stat farm.
-	analysis := analysisPipeline(cfg, species, &cutsEmitted)
-
-	// Assemble: sim farm → (raw-results tap) → analysis pipeline.
-	var pipeline ff.Node[*sim.Task, WindowStat]
-	if cfg.RawSink != nil {
-		tap := ff.Tee(func(b *sim.Batch) error {
-			for _, s := range b.Samples {
-				if err := cfg.RawSink(s); err != nil {
-					return err
+	// Stages 3–6: the sequential sink behind the sim farm taps the raw
+	// samples and pushes each batch into the run's Analysis.
+	info, err := analyse(ctx, cfg, species, display, func(ctx context.Context, push func(*sim.Batch) error) error {
+		return ff.Run(ctx, source, simFarm, func(b *sim.Batch) error {
+			if cfg.RawSink != nil {
+				for _, s := range b.Samples {
+					if err := cfg.RawSink(s); err != nil {
+						b.Release()
+						return err
+					}
 				}
 			}
-			return nil
+			return push(b)
 		})
-		tapped := ff.Compose[*sim.Task, *sim.Batch, *sim.Batch](simFarm, tap)
-		pipeline = ff.Compose[*sim.Task, *sim.Batch, WindowStat](tapped, analysis)
-	} else {
-		pipeline = ff.Compose[*sim.Task, *sim.Batch, WindowStat](simFarm, analysis)
-	}
-
-	windows := 0
-	err = ff.Run(ctx, source, pipeline, func(ws WindowStat) error {
-		windows++
-		return display(ws)
 	})
 	if err != nil {
 		return info, err
 	}
-	info.Cuts = int(cutsEmitted.Load())
-	info.Windows = windows
 	info.Samples = samples.Load()
 	info.Reactions = reactions.Load()
 	info.DeadTasks = int(dead.Load())
 	return info, nil
 }
 
-// analysisPipeline builds stages 3–5 of Fig. 2: alignment of trajectories,
-// generation of sliding windows, and the ordered farm of statistical
-// engines. It is shared by the shared-memory and GPU runners.
-// Input arrives as pooled sample batches; the alignment stage copies each
-// state into per-cut storage and releases the batch, so batch recycling
-// survives the full pipeline while cuts flow to the (asynchronous) stat
-// farm with independent lifetimes.
-func analysisPipeline(cfg Config, species []int, cutsEmitted *atomic.Int64) ff.Node[*sim.Batch, WindowStat] {
-	// Stage 3: alignment of trajectories (sample batches → cuts).
-	alignNode := ff.NodeFunc[*sim.Batch, window.Cut](func(ctx context.Context, in <-chan *sim.Batch, emit ff.Emit[window.Cut]) error {
-		aligner, err := window.NewAligner(cfg.Trajectories)
-		if err != nil {
-			return err
-		}
-		onCut := func(c window.Cut) error {
-			cutsEmitted.Add(1)
-			return emit(c)
-		}
-		for {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case b, ok := <-in:
-				if !ok {
-					return aligner.Close()
-				}
-				// The batch is released on every path: by the time Push
-				// returns — error or not — the aligner has copied each
-				// pushed state into cut storage, so an early error must not
-				// leak the batch.
-				var err error
-				for _, s := range b.Samples {
-					if err = aligner.Push(s, onCut); err != nil {
-						break
-					}
-				}
-				b.Release()
-				if err != nil {
-					return err
-				}
-			}
-		}
-	})
+// analyse runs the Analysis of one Run or RunGPU: feed pushes the run's
+// sample batches on the calling goroutine, the Analysis's windower; a stat
+// farm of cfg.StatEngines engines, opened here and closed on every return
+// path, analyses the windows; display sees them in window order. The
+// first error — feed's, an engine's, display's or ctx's — ends the run.
+func analyse(ctx context.Context, cfg Config, species []int, display func(WindowStat) error, feed func(ctx context.Context, push func(*sim.Batch) error) error) (RunInfo, error) {
+	info := RunInfo{Trajectories: cfg.Trajectories}
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	farm := NewStatFarm(cfg.StatEngines, cfg.StatEngines)
+	p := &runPublisher{ctx: runCtx, cancel: cancel, display: display, done: make(chan struct{})}
+	an, err := NewAnalysis(runCtx, cfg, species, farm, make(chan struct{}, 2*cfg.StatEngines), p, 0)
+	if err != nil {
+		farm.Close()
+		return info, err
+	}
+	p.an = an // before the first window reaches an engine
 
-	// Stage 4: generation of sliding windows of trajectory cuts. Windows
-	// leave here in order, so this is where each one learns how many of its
-	// trailing cuts no earlier window has summarised.
-	windowNode := ff.NodeFunc[window.Cut, freshWindow](func(ctx context.Context, in <-chan window.Cut, emit ff.Emit[freshWindow]) error {
-		slider, err := window.NewSlider(cfg.WindowSize, cfg.WindowStep)
-		if err != nil {
-			return err
-		}
-		var frontier CutFrontier
-		emitFresh := func(w window.Window) error {
-			return emit(freshWindow{w: w, fresh: frontier.Fresh(w.Start, len(w.Cuts))})
-		}
-		for {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case c, ok := <-in:
-				if !ok {
-					return slider.Flush(emitFresh)
-				}
-				if err := slider.Push(c, emitFresh); err != nil {
-					return err
-				}
-			}
-		}
-	})
-
-	// Stage 5: farm of statistical engines, gathered in window order. Each
-	// worker owns a reusable stats.Engine, so the per-window scratch
-	// (k-means arenas, quantile buffers, period traces) is allocated once
-	// per engine, not once per window. An engine summarises only its
-	// window's fresh cuts; the sequential step behind the ordered gather
-	// fills the rows of the cuts earlier windows summarised.
-	statFarm := ff.NewFarm(cfg.StatEngines, func(int) ff.Worker[freshWindow, freshStat] {
-		eng := stats.NewEngine()
-		return ff.WorkerFunc[freshWindow, freshStat](func(_ context.Context, fw freshWindow, emit ff.Emit[freshStat]) error {
-			fs := freshStat{fresh: fw.fresh}
-			if err := AnalyseWindowFresh(&fs.ws, eng, fw.w, species, cfg, fw.fresh); err != nil {
-				return err
-			}
-			return emit(fs)
-		})
-	})
-	asm := NewAssembler(cfg.WindowSize)
-	assemble := ff.MapNode(func(fs freshStat) (WindowStat, error) {
-		asm.Assemble(&fs.ws, fs.fresh)
-		return fs.ws, nil
-	})
-
-	return ff.Compose(ff.Compose(ff.Compose(alignNode, windowNode), statFarm), assemble)
+	if err := feed(runCtx, an.Push); err != nil {
+		p.fail(err)
+	} else if done, err := an.Close(&p.mu); err != nil {
+		p.fail(err)
+	} else if done {
+		close(p.done)
+	}
+	select {
+	case <-p.done:
+	case <-runCtx.Done():
+	}
+	cancel()
+	farm.Close() // every engine has returned: p is ours
+	if p.err != nil {
+		return info, p.err
+	}
+	if err := ctx.Err(); err != nil {
+		return info, err
+	}
+	info.Cuts = an.Cuts()
+	info.Windows = p.windows
+	return info, nil
 }
 
-// freshWindow is a window on its way to the stat farm together with its
-// CutFrontier.Fresh count.
-type freshWindow struct {
-	w     window.Window
-	fresh int
+// runPublisher is the Publisher of Run and RunGPU: it displays each window
+// in order under mu and ends the run at the first error.
+type runPublisher struct {
+	mu      sync.Mutex
+	an      *Analysis
+	ctx     context.Context
+	cancel  context.CancelFunc
+	display func(WindowStat) error
+	windows int
+	err     error         // first error of the run
+	done    chan struct{} // closed once every window is displayed
 }
 
-// freshStat is that window's analysis on its way to the Assembler, the
-// count still with it.
-type freshStat struct {
-	ws    WindowStat
-	fresh int
+func (p *runPublisher) Analysing() bool { return p.ctx.Err() == nil }
+
+func (p *runPublisher) Analysed(seq, fresh int, ws WindowStat, lat time.Duration, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err != nil {
+		p.failLocked(err)
+		return
+	}
+	if p.ctx.Err() != nil {
+		return
+	}
+	if p.an.Reorder(seq, fresh, ws, lat) {
+		close(p.done)
+	}
+}
+
+func (p *runPublisher) PublishLocked(ws WindowStat, _, _ time.Duration) {
+	if p.ctx.Err() != nil {
+		return
+	}
+	if p.display != nil {
+		if err := p.display(ws); err != nil {
+			p.failLocked(err)
+			return
+		}
+	}
+	p.windows++
+}
+
+func (p *runPublisher) fail(err error) {
+	p.mu.Lock()
+	p.failLocked(err)
+	p.mu.Unlock()
+}
+
+func (p *runPublisher) failLocked(err error) {
+	if p.err == nil {
+		p.err = err
+		p.cancel()
+	}
 }
 
 // ResolveSpecies validates cfg.Species against a probe simulator built
 // from the factory, defaulting to all observables when none are selected.
-// Exported for streaming consumers that call AnalyseWindow directly.
+// Exported for callers that build an Analysis or call AnalyseWindowInto
+// themselves.
 func ResolveSpecies(cfg Config) ([]int, error) { return resolveSpecies(cfg) }
 
 // NewTrajectoryTask builds trajectory traj's simulator and task exactly as
@@ -405,21 +381,6 @@ func resolveSpecies(cfg Config) ([]int, error) {
 		}
 	}
 	return species, nil
-}
-
-// AnalyseWindow is the statistical engine body: it summarises one window
-// of trajectory cuts into the moments, medians, period estimates and
-// clusters selected by cfg. It is a pure function of its inputs, safe to
-// call concurrently. This convenience form borrows a pooled engine and
-// allocates a fresh WindowStat; loops that analyse many windows should
-// hold a private stats.Engine and a reused WindowStat and call
-// AnalyseWindowInto, which is allocation-free in steady state.
-func AnalyseWindow(w window.Window, species []int, cfg Config) (WindowStat, error) {
-	eng := stats.GetEngine()
-	defer stats.PutEngine(eng)
-	var ws WindowStat
-	err := AnalyseWindowInto(&ws, eng, w, species, cfg)
-	return ws, err
 }
 
 // AnalyseWindowInto summarises one window of trajectory cuts into ws,
@@ -479,8 +440,8 @@ func AnalyseWindowFresh(ws *WindowStat, eng *stats.Engine, w window.Window, spec
 		// Period detection walks one trajectory across every cut, so only
 		// here must the window be rectangular. Aligner-built windows are
 		// rectangular by construction; a ragged caller-built window must
-		// surface as an error (as TrajectoryTrace used to report), not as
-		// an index panic inside an engine goroutine.
+		// surface as an error, not as an index panic inside an engine
+		// goroutine.
 		for k, c := range w.Cuts {
 			if c.NumTrajectories() != nTraj {
 				return fmt.Errorf("core: window cut %d holds %d trajectories, want %d", k, c.NumTrajectories(), nTraj)

@@ -350,21 +350,6 @@ func TestCSVDisplay(t *testing.T) {
 	}
 }
 
-func TestTeeDisplay(t *testing.T) {
-	a, b := 0, 0
-	sink := Tee(
-		func(WindowStat) error { a++; return nil },
-		nil,
-		func(WindowStat) error { b++; return nil },
-	)
-	if err := sink(WindowStat{}); err != nil {
-		t.Fatal(err)
-	}
-	if a != 1 || b != 1 {
-		t.Fatal("tee did not fan out")
-	}
-}
-
 // TestOnlineMeanConvergence: with many trajectories, the ensemble mean of
 // M at t=0 must equal the (deterministic) initial count, and the variance
 // at t=0 must be zero.

@@ -49,18 +49,3 @@ func CSVDisplay(w io.Writer, names []string) func(WindowStat) error {
 		return nil
 	}
 }
-
-// Tee fans one display sink out to several.
-func Tee(sinks ...func(WindowStat) error) func(WindowStat) error {
-	return func(ws WindowStat) error {
-		for _, s := range sinks {
-			if s == nil {
-				continue
-			}
-			if err := s(ws); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
-	"cwcflow/internal/ff"
 	"cwcflow/internal/gpu"
 	"cwcflow/internal/sim"
 )
@@ -36,43 +34,32 @@ func RunGPU(ctx context.Context, cfg Config, device *gpu.Device, display func(Wi
 	if err != nil {
 		return RunInfo{}, ginfo, err
 	}
-	if display == nil {
-		display = func(WindowStat) error { return nil }
-	}
 	species, err := resolveSpecies(cfg)
 	if err != nil {
 		return RunInfo{}, ginfo, err
 	}
-
-	var info RunInfo
-	info.Trajectories = cfg.Trajectories
-	var samples atomic.Int64
-	var cutsEmitted atomic.Int64
 
 	// Build every task up front: the whole ensemble is resident on the
 	// device (the paper moves C++ simulation objects to GPU memory via
 	// CUDA Unified Memory; here tasks are plain Go values).
 	tasks := make([]*sim.Task, cfg.Trajectories)
 	for i := range tasks {
-		s, err := cfg.Factory(i, cfg.BaseSeed+int64(i))
-		if err != nil {
-			return info, ginfo, err
-		}
-		tasks[i], err = sim.NewTask(i, s, cfg.End, cfg.Quantum, cfg.Period)
-		if err != nil {
-			return info, ginfo, err
+		if tasks[i], err = NewTrajectoryTask(cfg, i); err != nil {
+			return RunInfo{}, ginfo, err
 		}
 	}
 
+	var samples int64
+	var reactions uint64
+	var dead int
 	var busy, lockstep float64
 
-	// The source drives the device: one Launch per quantum over the
+	// The launch loop drives the device: one Launch per quantum over the
 	// unfinished tasks; per-task samples are buffered during the kernel —
-	// each task filling its own pooled batch — and the batches are
-	// streamed to the analysis pipeline after the barrier.
-	source := ff.Source[*sim.Batch](func(ctx context.Context, emit ff.Emit[*sim.Batch]) error {
-		active := make([]*sim.Task, len(tasks))
-		copy(active, tasks)
+	// each task filling its own pooled batch — and the batches are pushed
+	// into the run's Analysis after the barrier.
+	info, err := analyse(ctx, cfg, species, display, func(ctx context.Context, push func(*sim.Batch) error) error {
+		active := tasks
 		buffers := make([]*sim.Batch, len(tasks))
 		for len(active) > 0 {
 			for i := range buffers[:len(active)] {
@@ -90,6 +77,9 @@ func RunGPU(ctx context.Context, cfg Config, device *gpu.Device, display func(Wi
 				return float64(task.Steps()-before) + 1, nil
 			})
 			if err != nil {
+				for _, b := range buffers[:len(active)] {
+					b.Release()
+				}
 				return err
 			}
 			ginfo.Launches++
@@ -97,17 +87,20 @@ func RunGPU(ctx context.Context, cfg Config, device *gpu.Device, display func(Wi
 			busy += stats.BusyCost
 			lockstep += stats.LockstepCost
 
-			// Kernel barrier passed: forward the quantum's batches (the
-			// alignment stage recycles them).
+			// Kernel barrier passed: push the quantum's batches (the
+			// Analysis recycles them).
 			for i := range active {
 				b := buffers[i]
 				buffers[i] = nil
-				samples.Add(int64(len(b.Samples)))
+				samples += int64(len(b.Samples))
 				if len(b.Samples) == 0 {
 					b.Release()
 					continue
 				}
-				if err := emit(b); err != nil {
+				if err := push(b); err != nil {
+					for _, rest := range buffers[i+1 : len(active)] {
+						rest.Release()
+					}
 					return err
 				}
 			}
@@ -117,9 +110,9 @@ func RunGPU(ctx context.Context, cfg Config, device *gpu.Device, display func(Wi
 				if !t.Done() {
 					live = append(live, t)
 				} else {
-					info.Reactions += t.Steps()
+					reactions += t.Steps()
 					if t.Dead() {
-						info.DeadTasks++
+						dead++
 					}
 				}
 			}
@@ -127,19 +120,12 @@ func RunGPU(ctx context.Context, cfg Config, device *gpu.Device, display func(Wi
 		}
 		return nil
 	})
-
-	analysis := analysisPipeline(cfg, species, &cutsEmitted)
-	windows := 0
-	err = ff.Run(ctx, source, analysis, func(ws WindowStat) error {
-		windows++
-		return display(ws)
-	})
 	if err != nil {
 		return info, ginfo, err
 	}
-	info.Windows = windows
-	info.Cuts = int(cutsEmitted.Load())
-	info.Samples = samples.Load()
+	info.Samples = samples
+	info.Reactions = reactions
+	info.DeadTasks = dead
 	if lockstep > 0 {
 		ginfo.Utilization = busy / lockstep
 	} else {

@@ -181,12 +181,12 @@ type subscriber struct {
 
 // Job is one simulation-analysis run multiplexed onto the shared
 // infrastructure: its trajectory tasks interleave with every other job's
-// on the simulation pool, a windower goroutine drains the job's ingress
-// queue through the alignment → windowing stages (window.Stream) and feeds
-// each completed window to the service-wide farm of statistical engines,
-// and the per-job reorder buffer republishes the engines' out-of-order
-// results as an in-order WindowStat stream to the result ring and the live
-// subscribers.
+// on the simulation pool, and its core.Analysis — the same one core.Run
+// drives — turns the samples into windows. The job's windower goroutine
+// drains the ingress queue into the Analysis, which feeds the server's
+// core.StatFarm; the Analysis's reorder half, under the job mutex, hands
+// the windows back in order to jobWindows.PublishLocked, which journals
+// them and fans them out to the result ring and the live subscribers.
 type Job struct {
 	id          string
 	spec        JobSpec
@@ -255,8 +255,10 @@ type Job struct {
 
 	// statSlots caps this job's windows in flight on the shared stat farm
 	// (fairness: one heavy tenant cannot occupy every engine). The
-	// windower acquires a slot before submitting; the engine side frees it.
+	// Analysis acquires a slot before submitting; the engine side frees it.
+	// statHook is Options.statHook.
 	statSlots chan struct{}
+	statHook  func(jobID string)
 
 	deferred   atomic.Int64 // quanta the pool deferred due to congestion
 	remoteDone atomic.Int64 // trajectories whose final slab ran on a remote worker
@@ -268,8 +270,8 @@ type Job struct {
 	// server shutdown, which is not a job outcome — the job must recover
 	// as running. resumeCut > 0 marks a recovered job: samples below it
 	// fed the durably published windows, so accept drops them before any
-	// accounting, and the windower's stream + sequence numbers start
-	// there. recovered marks both resumed and re-served jobs in Status.
+	// accounting, and the Analysis starts at window startSeq, whose first
+	// cut it is. recovered marks both resumed and re-served jobs in Status.
 	persist    *store.Store
 	ckptEvery  int // samples between trajectory checkpoints
 	resumeCut  int
@@ -289,48 +291,32 @@ type Job struct {
 	// Set once at submission, before any task can produce a delivery.
 	sched atomic.Pointer[remoteJob]
 
-	mu          sync.Mutex
-	lastCkpt    map[int]int // per-trajectory sample index of the last checkpoint
-	state       State
-	errMsg      string
-	submitted   time.Time
-	finished    time.Time
-	samples     int64
-	cuts        int
-	windows     int
-	tasksDone   int
-	deadTasks   int
-	reactions   uint64
-	quantum     stats.Welford // seconds of service per simulation quantum
-	winLat      stats.Welford // seconds of analysis per window
-	winP50      *stats.P2Quantile
-	winP95      *stats.P2Quantile
-	parked      []poolTask          // congestion-deferred tasks, off the farm
-	pending     map[int]pendingStat // reorder buffer: seq → analysed window
-	nextPublish int                 // next window sequence number to publish
-	asm         *core.Assembler     // completes windows as they publish, in order
-	subAll      bool                // windower submitted every window
-	subTotal    int                 // total windows submitted (valid once subAll)
-	results     []core.WindowStat   // ring of the most recent windows
-	firstKept   int                 // window index of results[0]
-	subs        map[*subscriber]struct{}
+	mu        sync.Mutex
+	lastCkpt  map[int]int // per-trajectory sample index of the last checkpoint
+	state     State
+	errMsg    string
+	submitted time.Time
+	finished  time.Time
+	samples   int64
+	cuts      int
+	windows   int
+	tasksDone int
+	deadTasks int
+	reactions uint64
+	quantum   stats.Welford // seconds of service per simulation quantum
+	winLat    stats.Welford // seconds of analysis per window
+	winP50    *stats.P2Quantile
+	winP95    *stats.P2Quantile
+	parked    []poolTask        // congestion-deferred tasks, off the farm
+	results   []core.WindowStat // ring of the most recent windows
+	firstKept int               // window index of results[0]
+	subs      map[*subscriber]struct{}
 
 	// etaAt/etaVal/etaOK cache the DES projection so status polling does
 	// not re-run the simulation on every request.
 	etaAt  time.Time
 	etaVal float64
 	etaOK  bool
-}
-
-// pendingStat is one analysed window parked in the reorder buffer until
-// every earlier window has been published, with the fresh count it was
-// analysed with (what the assembler completes it by). at stamps its arrival
-// for the reorder-wait histogram.
-type pendingStat struct {
-	ws    core.WindowStat
-	fresh int
-	lat   time.Duration
-	at    time.Time
 }
 
 func newJob(id string, spec JobSpec, cfg core.Config, species []int, samplesPerTraj int, opts Options, poolWorkers, statInflight int) *Job {
@@ -380,12 +366,11 @@ func newJob(id string, spec JobSpec, cfg core.Config, species []int, samplesPerT
 		origin:      jobOrigin(opts),
 		logf:        opts.Logf,
 		statSlots:   make(chan struct{}, statInflight),
+		statHook:    opts.statHook,
 		state:       StateRunning,
 		submitted:   time.Now(),
 		winP50:      p50,
 		winP95:      p95,
-		pending:     make(map[int]pendingStat),
-		asm:         core.NewAssembler(cfg.WindowSize),
 		subs:        make(map[*subscriber]struct{}),
 	}
 }
@@ -423,7 +408,6 @@ func (j *Job) initResume(rec *store.JobRecord) {
 	j.recovered = true
 	j.submitted = rec.SubmittedAt
 	j.windows = windows
-	j.nextPublish = windows
 	j.results = append(j.results, rec.Windows...)
 	j.firstKept = rec.FirstRetained
 	j.cuts = j.resumeCut
@@ -458,7 +442,7 @@ func (j *Job) maybeCheckpoint(t *sim.Task) {
 }
 
 // durableWindows is the job's journaled window frontier — what a
-// handoff pointer may safely advertise. publishLocked appends each
+// handoff pointer may safely advertise. PublishLocked appends each
 // window before counting it, so while the journal is healthy the
 // in-memory count IS the durable frontier; after a journal failure the
 // true frontier is unknown, and 0 (a trivially safe lower bound — the
@@ -707,39 +691,22 @@ func (j *Job) unparkIfDrained() {
 	}
 }
 
-// runWindower is the job's stream-reshaping goroutine: it drains the
-// ingress queue through the fused alignment/windowing stream
-// (window.Stream) and submits every completed window — deep-copied, so the
-// stream's cut recycling stays intact — to the shared stat farm, tagged
-// with the job and a per-job sequence number. One goroutine per job, never
-// one per trajectory or per window: the service's goroutine count stays at
-// O(pool workers + stat engines + active jobs).
-func (j *Job) runWindower(farm *statFarm) {
-	// A recovered job's stream starts at the durable window frontier:
+// runWindower is the job's stream-reshaping goroutine, the windower half
+// of its core.Analysis: it drains the ingress queue into the Analysis,
+// which submits every completed window to the shared stat farm. One
+// goroutine per job, never one per trajectory or per window: the service's
+// goroutine count stays at O(pool workers + stat engines + active jobs).
+func (j *Job) runWindower(farm *core.StatFarm) {
+	// A recovered job's analysis starts at the durable window frontier:
 	// cuts below it were consumed into journaled windows, and the window
 	// sequence numbers continue where the crashed run's left off.
-	stream, err := window.NewStreamAt(j.cfg.Trajectories, j.cfg.WindowSize, j.cfg.WindowStep, j.resumeCut)
+	pub := &jobWindows{Job: j}
+	an, err := core.NewAnalysis(j.ctx, j.cfg, j.species, farm, j.statSlots, pub, j.startSeq)
 	if err != nil {
 		j.fail(err)
 		return
 	}
-	seq := j.startSeq
-	// The first window of this run — fresh job, recovery or adoption alike —
-	// finds the frontier behind it and summarises all of its cuts.
-	var frontier core.CutFrontier
-	emit := func(w window.Window) error {
-		// Fairness cap: hold at most statSlots windows on the shared farm.
-		select {
-		case j.statSlots <- struct{}{}:
-		case <-j.ctx.Done():
-			return j.ctx.Err()
-		}
-		if err := farm.submit(j, getWinTask(j, seq, frontier.Fresh(w.Start, len(w.Cuts)), w)); err != nil {
-			return err
-		}
-		seq++
-		return nil
-	}
+	pub.an = an // before the first window reaches an engine
 	for {
 		batch, done, spilled := j.in.pop()
 		if spilled > 0 {
@@ -752,11 +719,12 @@ func (j *Job) runWindower(farm *statFarm) {
 		}
 		if batch == nil {
 			if done {
-				if err := stream.Close(emit); err != nil {
+				end, err := an.Close(&j.mu)
+				if err != nil {
 					j.fail(err)
-					return
+				} else if end {
+					j.setTerminal(StateDone, "")
 				}
-				j.finishSubmitting(seq)
 				return
 			}
 			j.unparkIfDrained()
@@ -767,70 +735,64 @@ func (j *Job) runWindower(farm *statFarm) {
 				return // already terminal (cancelled, failed, or closing)
 			}
 		}
-		// The aligner inside stream copies every state into recycled cut
-		// storage, so the batch goes back to the pool as soon as its
+		// The stream inside the Analysis copies every state into recycled
+		// cut storage, so the batch goes back to the pool as soon as its
 		// samples are pushed.
 		n := len(batch.Samples)
-		for _, s := range batch.Samples {
-			if err := stream.Push(s, emit); err != nil {
-				batch.Release()
-				if j.ctx.Err() == nil {
-					j.fail(err)
-				}
-				return
+		if err := an.Push(batch); err != nil {
+			if j.ctx.Err() == nil {
+				j.fail(err)
 			}
+			return
 		}
-		batch.Release()
 		j.mu.Lock()
 		j.samples += int64(n)
-		j.cuts = stream.Cuts()
+		j.cuts = an.Cuts()
 		j.mu.Unlock()
 		j.unparkIfDrained()
 	}
 }
 
-// finishSubmitting records that every window of the job has been handed to
-// the stat farm; the job completes when the last of them is published.
-func (j *Job) finishSubmitting(total int) {
-	j.mu.Lock()
-	j.subAll = true
-	j.subTotal = total
-	done := j.nextPublish == total
-	j.mu.Unlock()
-	if done {
-		j.setTerminal(StateDone, "")
-	}
+// jobWindows is the job's core.Publisher: the stat farm's engines report
+// the job's windows through it. The job does not point back at it, so the
+// Analysis — its stream's cut storage above all — is garbage once the
+// windower has returned and no window is in flight, while the job itself
+// stays registered until it is evicted.
+type jobWindows struct {
+	*Job
+	an *core.Analysis // reorder half under j.mu
 }
 
-// statSlotFree releases one of the job's in-flight analysis slots.
-func (j *Job) statSlotFree() { <-j.statSlots }
+// Analysing skips the windows of a terminal job. It is also where the
+// Options.statHook test seam emulates an expensive statistical
+// configuration, or a stalled tenant, per job.
+func (j *jobWindows) Analysing() bool {
+	if j.terminal() {
+		return false
+	}
+	if j.statHook != nil {
+		j.statHook(j.id)
+	}
+	return true
+}
 
-// completeStat receives one analysed window from a stat engine, parks it
-// in the reorder buffer, and publishes every consecutively-ready window in
+// Analysed receives one analysed window from a stat engine and, under the
+// job mutex, lets the Analysis publish every consecutively-ready window in
 // window order — the ordered reassembly that makes N engines
-// indistinguishable from 1 in the result stream. Being the first point
-// where windows are back in order, it is also where each one is completed
-// with the cut summaries of the windows before it.
-func (j *Job) completeStat(seq int, ws core.WindowStat, fresh int, lat time.Duration) {
-	j.statSlotFree()
+// indistinguishable from 1 in the result stream.
+func (j *jobWindows) Analysed(seq, fresh int, ws core.WindowStat, lat time.Duration, err error) {
+	j.metrics.analyse.Observe(lat)
+	j.metrics.cutSummaries.Add(uint64(fresh))
+	if err != nil {
+		j.fail(err)
+		return
+	}
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.pending[seq] = pendingStat{ws: ws, fresh: fresh, lat: lat, at: time.Now()}
-	for {
-		p, ok := j.pending[j.nextPublish]
-		if !ok {
-			break
-		}
-		delete(j.pending, j.nextPublish)
-		j.nextPublish++
-		j.metrics.reorderWait.Observe(time.Since(p.at))
-		j.asm.Assemble(&p.ws, p.fresh)
-		j.publishLocked(p.ws, p.lat)
-	}
-	done := j.subAll && j.nextPublish == j.subTotal
+	done := j.an.Reorder(seq, fresh, ws, lat)
 	perr := j.persistErr
 	j.mu.Unlock()
 	if perr != nil {
@@ -845,11 +807,13 @@ func (j *Job) completeStat(seq int, ws core.WindowStat, fresh int, lat time.Dura
 	}
 }
 
-// publishLocked appends one analysed window to the bounded result ring and
+// PublishLocked appends one analysed window to the bounded result ring and
 // fans it out to the live subscribers without ever blocking: a subscriber
 // whose mailbox is full loses the window (and is told how many it lost
-// when the stream ends). Callers hold j.mu.
-func (j *Job) publishLocked(ws core.WindowStat, lat time.Duration) {
+// when the stream ends). The Analysis calls it in window order, under
+// j.mu.
+func (j *jobWindows) PublishLocked(ws core.WindowStat, lat, wait time.Duration) {
+	j.metrics.reorderWait.Observe(wait)
 	// Journal before counting: the durable frontier must never lead the
 	// in-memory one. The append is one unsynced write under the job
 	// mutex — order across publishes is what recovery depends on. A

@@ -4,18 +4,17 @@
 //
 // One service instance owns a single shared simulation worker pool (a
 // long-lived ff feedback farm, see Pool) and a single shared farm of
-// statistical engines (see statFarm), sized independently. Each submitted
+// statistical engines (core.StatFarm), sized independently. Each submitted
 // job contributes quantum-sized trajectory tasks to the pool; on-demand
 // scheduling interleaves every job's tasks, so many jobs progress
 // concurrently on a fixed set of workers with no per-job goroutine
 // explosion: the service runs O(pool workers + stat engines + active jobs)
 // goroutines in total. Per job, one windower goroutine drains batched
-// samples through the alignment → sliding-window stages (window.Stream)
-// and fans the completed windows out across the stat farm's engines
-// (core.AnalyseWindowInto on reusable per-engine scratch); a per-job
-// reorder buffer republishes the results in window order, incrementally —
-// results stream out while the simulation is still running, the paper's
-// on-line property, carried over to the service. The pool collector never
+// samples into the job's core.Analysis — the analysis core.Run drives —
+// which aligns them, cuts sliding windows, fans the windows out across the
+// stat farm's engines and republishes the results in window order,
+// incrementally — results stream out while the simulation is still
+// running, the paper's on-line property, carried over to the service. The pool collector never
 // blocks on a tenant: a job whose analysis lags is deferred at the
 // scheduling step and, past a hard bound, spills (and fails) rather than
 // pausing any other job's delivery.
@@ -366,7 +365,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts     Options
 	pool     *Pool
-	stats    *statFarm
+	stats    *core.StatFarm
 	registry *registry
 	store    *store.Store         // nil when durability is disabled
 	leases   *lease.Manager       // nil unless ReplicaID is set (replicated tier)
@@ -431,7 +430,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts,
 		m:        m,
-		stats:    newStatFarm(opts.StatEngines, opts.QueueDepth, opts.statHook),
+		stats:    core.NewStatFarm(opts.StatEngines, opts.QueueDepth),
 		registry: newRegistry(opts.WorkerAddrs, opts.WorkerInFlight, opts.WorkerTTL, opts.WorkerCooldown),
 		mux:      http.NewServeMux(),
 		jobs:     make(map[string]*Job),

@@ -26,12 +26,12 @@ func clusteredPoints(n int, seed int64) [][]float64 {
 	return points
 }
 
-// TestKMeansFlatMatchesKMeans pins that the engine's flat-arena path and
-// the convenience wrapper produce identical clusterings (the wrapper is
-// the flat path, so this guards the flattening and result-reuse plumbing).
+// TestKMeansFlatMatchesKMeans pins that an engine and a result reused
+// across runs cluster exactly as a fresh engine and result do (this
+// guards the result-reuse plumbing).
 func TestKMeansFlatMatchesKMeans(t *testing.T) {
 	points := clusteredPoints(40, 5)
-	ref, err := KMeans(points, 2, 9, 100)
+	ref, err := kmeans(points, 2, 9, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

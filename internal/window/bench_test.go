@@ -11,7 +11,7 @@ import (
 // steady-state alignment cost of a 64-trajectory ensemble.
 func BenchmarkAligner(b *testing.B) {
 	const nTraj = 64
-	a, err := NewAligner(nTraj)
+	a, err := NewAlignerAt(nTraj, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

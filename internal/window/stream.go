@@ -3,19 +3,17 @@ package window
 import "cwcflow/internal/sim"
 
 // Stream fuses the Aligner and the Slider into a single push-based stage:
-// raw samples in, sliding windows out. It is the streaming entry point used
-// by consumers that drive the alignment/windowing stages themselves (one
-// call site, no channels) instead of assembling the ff pipeline nodes —
-// notably the job service, where each job owns one Stream fed by batches
-// arriving from the shared simulation pool.
+// raw samples in, sliding windows out, with no channels in between. Each
+// core.Analysis — every core.Run, RunGPU and serve job — owns one, fed by
+// the batches of the simulation stage.
 //
 // Because the whole path is synchronous — a window is fully consumed by
 // the time emit returns — the Stream closes the recycling loop: cuts that
 // slide out of the window buffer return their storage to the aligner's
 // free list, so a steady-state Stream aligns and windows without
 // allocating. Consumers must therefore not retain a Window or its cut
-// States after emit returns (core.AnalyseWindow copies everything it
-// keeps).
+// States after emit returns (core.Analysis copies each window with a
+// CopyBuffer before it hands it to a stat engine).
 //
 // The zero value is not usable; construct with NewStream.
 type Stream struct {
@@ -61,9 +59,6 @@ func (st *Stream) Push(s sim.Sample, emit func(Window) error) error {
 
 // Cuts returns the number of complete cuts released so far.
 func (st *Stream) Cuts() int { return st.aligner.EmittedCuts() }
-
-// Pending returns the alignment backlog (partially assembled cuts).
-func (st *Stream) Pending() int { return st.aligner.Pending() }
 
 // Close verifies the sample stream was complete and flushes the trailing
 // partial window, if any. Call it after the last sample was pushed.

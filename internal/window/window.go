@@ -61,7 +61,7 @@ type slot struct {
 // interleaving across trajectories, but each trajectory must deliver its
 // own samples in index order (which the sim.Task contract guarantees).
 //
-// The zero value is not usable; construct with NewAligner.
+// The zero value is not usable; construct with NewAlignerAt.
 type Aligner struct {
 	nTraj    int
 	ns       int // state width, learned from the first sample
@@ -71,15 +71,13 @@ type Aligner struct {
 	free     []*cutStore
 }
 
-// NewAligner returns an aligner for an ensemble of nTraj trajectories.
-func NewAligner(nTraj int) (*Aligner, error) { return NewAlignerAt(nTraj, 0) }
-
-// NewAlignerAt returns an aligner whose first emitted cut is start — the
-// resume form used when a recovered job re-enters the stream mid-run: cuts
-// below start were already consumed into durably published windows, so the
-// aligner begins assembling at the resume point (samples below it must be
-// filtered out by the caller; pushing one is the usual duplicate error).
-// EmittedCuts counts absolutely, start included.
+// NewAlignerAt returns an aligner for an ensemble of nTraj trajectories
+// whose first emitted cut is start: 0, or the resume point of a recovered
+// job that re-enters the stream mid-run. Cuts below start were already
+// consumed into durably published windows, so the aligner begins
+// assembling at the resume point (samples below it must be filtered out by
+// the caller; pushing one is the usual duplicate error). EmittedCuts
+// counts absolutely, start included.
 func NewAlignerAt(nTraj, start int) (*Aligner, error) {
 	if nTraj < 1 {
 		return nil, fmt.Errorf("window: need at least 1 trajectory, got %d", nTraj)
@@ -219,7 +217,7 @@ type Window struct {
 // advancing by step cuts between windows (step == size gives tumbling
 // windows).
 //
-// The zero value is not usable; construct with NewSlider.
+// The zero value is not usable; construct with NewSliderAt.
 type Slider struct {
 	size, step int
 	buf        []Cut
@@ -227,11 +225,9 @@ type Slider struct {
 	retire     func(Cut)
 }
 
-// NewSlider returns a slider emitting windows of size cuts every step cuts.
-func NewSlider(size, step int) (*Slider, error) { return NewSliderAt(size, step, 0) }
-
-// NewSliderAt returns a slider whose first window starts at cut index
-// start — the resume form for a recovered job: windows below start/step
+// NewSliderAt returns a slider emitting windows of size cuts every step
+// cuts, whose first window starts at cut index start: 0, or the resume
+// point of a recovered job, where windows below start/step
 // were already published durably, so the slider picks up exactly where
 // the crashed slider's window sequence left off. start must be a window
 // boundary (a multiple of step), and the first cut pushed must be start.
@@ -251,7 +247,7 @@ func NewSliderAt(size, step, start int) (*Slider, error) {
 // SetRetire registers a callback invoked for every cut that permanently
 // leaves the slider — after the emit of the last window containing it has
 // returned, so a synchronous consumer (one that finishes analysing each
-// window inside emit, like window.Stream with core.AnalyseWindow) can
+// window inside emit, or copies it first, as core.Analysis does) can
 // recycle the cut's storage. Do not set it when windows are analysed
 // asynchronously after emit returns.
 func (s *Slider) SetRetire(retire func(Cut)) { s.retire = retire }
@@ -363,37 +359,4 @@ func (b *CopyBuffer) Capture(w Window) Window {
 		}
 	}
 	return Window{Start: w.Start, Cuts: b.cuts}
-}
-
-// Series extracts the per-cut ensemble of one species: out[k][i] is the
-// count of species sp for trajectory i at the window's k-th cut.
-func (w Window) Series(sp int) ([][]int64, error) {
-	if len(w.Cuts) == 0 {
-		return nil, ErrNoCuts
-	}
-	out := make([][]int64, len(w.Cuts))
-	for k, c := range w.Cuts {
-		row := make([]int64, len(c.States))
-		for i, st := range c.States {
-			row[i] = st[sp]
-		}
-		out[k] = row
-	}
-	return out, nil
-}
-
-// TrajectoryTrace extracts trajectory i's series of species sp across the
-// window's cuts.
-func (w Window) TrajectoryTrace(traj, sp int) ([]float64, error) {
-	if len(w.Cuts) == 0 {
-		return nil, ErrNoCuts
-	}
-	out := make([]float64, len(w.Cuts))
-	for k, c := range w.Cuts {
-		if traj < 0 || traj >= len(c.States) {
-			return nil, fmt.Errorf("window: trajectory %d out of range", traj)
-		}
-		out[k] = float64(c.States[traj][sp])
-	}
-	return out, nil
 }

@@ -13,7 +13,7 @@ func mkSample(traj, idx int, v int64) sim.Sample {
 }
 
 func TestAlignerEmitsInOrder(t *testing.T) {
-	a, err := NewAligner(2)
+	a, err := NewAlignerAt(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAlignerEmitsInOrder(t *testing.T) {
 }
 
 func TestAlignerRejectsBadSamples(t *testing.T) {
-	a, _ := NewAligner(2)
+	a, _ := NewAlignerAt(2, 0)
 	emit := func(Cut) error { return nil }
 	if err := a.Push(mkSample(5, 0, 1), emit); err == nil {
 		t.Fatal("unknown trajectory accepted")
@@ -70,7 +70,7 @@ func TestAlignerRejectsBadSamples(t *testing.T) {
 }
 
 func TestAlignerCloseDetectsIncomplete(t *testing.T) {
-	a, _ := NewAligner(3)
+	a, _ := NewAlignerAt(3, 0)
 	emit := func(Cut) error { return nil }
 	must(t, a.Push(mkSample(0, 0, 1), emit))
 	if err := a.Close(); err == nil {
@@ -79,7 +79,7 @@ func TestAlignerCloseDetectsIncomplete(t *testing.T) {
 }
 
 func TestAlignerSingleTrajectory(t *testing.T) {
-	a, _ := NewAligner(1)
+	a, _ := NewAlignerAt(1, 0)
 	n := 0
 	emit := func(c Cut) error { n++; return nil }
 	for k := 0; k < 5; k++ {
@@ -110,7 +110,7 @@ func TestAlignerProperty_AnyInterleaving(t *testing.T) {
 		for i := range next {
 			next[i] = 0
 		}
-		a, err := NewAligner(nTraj)
+		a, err := NewAlignerAt(nTraj, 0)
 		if err != nil {
 			return false
 		}
@@ -155,7 +155,7 @@ func mkCut(idx int, vals ...int64) Cut {
 }
 
 func TestSliderFullWindows(t *testing.T) {
-	s, err := NewSlider(3, 1)
+	s, err := NewSliderAt(3, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSliderFullWindows(t *testing.T) {
 }
 
 func TestSliderTumbling(t *testing.T) {
-	s, err := NewSlider(2, 2)
+	s, err := NewSliderAt(2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSliderTumbling(t *testing.T) {
 }
 
 func TestSliderFlushEmitsTail(t *testing.T) {
-	s, _ := NewSlider(4, 4)
+	s, _ := NewSliderAt(4, 4, 0)
 	var wins []Window
 	emit := func(w Window) error { wins = append(wins, w); return nil }
 	for k := 0; k < 6; k++ { // one full window + 2 leftover cuts
@@ -219,7 +219,7 @@ func TestSliderFlushEmitsTail(t *testing.T) {
 }
 
 func TestSliderRejectsGaps(t *testing.T) {
-	s, _ := NewSlider(2, 1)
+	s, _ := NewSliderAt(2, 1, 0)
 	emit := func(Window) error { return nil }
 	must(t, s.Push(mkCut(0, 0), emit))
 	if err := s.Push(mkCut(2, 0), emit); err == nil {
@@ -228,36 +228,11 @@ func TestSliderRejectsGaps(t *testing.T) {
 }
 
 func TestSliderValidation(t *testing.T) {
-	if _, err := NewSlider(0, 1); err == nil {
+	if _, err := NewSliderAt(0, 1, 0); err == nil {
 		t.Fatal("size 0 accepted")
 	}
-	if _, err := NewSlider(2, 3); err == nil {
+	if _, err := NewSliderAt(2, 3, 0); err == nil {
 		t.Fatal("step > size accepted")
-	}
-}
-
-func TestWindowSeriesAndTrace(t *testing.T) {
-	w := Window{Start: 0, Cuts: []Cut{mkCut(0, 1, 2), mkCut(1, 3, 4)}}
-	series, err := w.Series(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if series[0][0] != 1 || series[0][1] != 2 || series[1][0] != 3 || series[1][1] != 4 {
-		t.Fatalf("series wrong: %v", series)
-	}
-	trace, err := w.TrajectoryTrace(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace[0] != 2 || trace[1] != 4 {
-		t.Fatalf("trace wrong: %v", trace)
-	}
-	if _, err := w.TrajectoryTrace(9, 0); err == nil {
-		t.Fatal("out-of-range trajectory accepted")
-	}
-	empty := Window{}
-	if _, err := empty.Series(0); err == nil {
-		t.Fatal("empty window series accepted")
 	}
 }
 
@@ -272,7 +247,7 @@ func must(t *testing.T, err error) {
 // index — negative or ≥ ensemble size — must error without touching any
 // cut state (the ring rewrite must not index the arena with it first).
 func TestAlignerRejectsOutOfRangeTrajectory(t *testing.T) {
-	a, _ := NewAligner(3)
+	a, _ := NewAlignerAt(3, 0)
 	emit := func(Cut) error { t.Fatal("cut emitted from rejected samples"); return nil }
 	for _, traj := range []int{-1, -100, 3, 4, 1 << 30} {
 		if err := a.Push(sim.Sample{Traj: traj, Index: 0, State: []int64{1}}, emit); err == nil {
@@ -300,7 +275,7 @@ func TestAlignerRejectsOutOfRangeTrajectory(t *testing.T) {
 // every cut must still come out exactly once, in order, intact.
 func TestAlignerRingGrowth(t *testing.T) {
 	const nCuts = 300 // ≫ initial ring size
-	a, _ := NewAligner(2)
+	a, _ := NewAlignerAt(2, 0)
 	var got []Cut
 	emit := func(c Cut) error {
 		got = append(got, Cut{Index: c.Index, Time: c.Time, States: [][]int64{
@@ -337,7 +312,7 @@ func TestAlignerRingGrowth(t *testing.T) {
 // cuts (bounding steady-state allocation) without corrupting contents,
 // and recycling foreign cuts must be a safe no-op.
 func TestAlignerRecycleReusesStorage(t *testing.T) {
-	a, _ := NewAligner(2)
+	a, _ := NewAlignerAt(2, 0)
 	emitted := -1
 	emit := func(c Cut) error {
 		// Contents must be verified before Recycle: afterwards the storage
@@ -365,7 +340,7 @@ func TestAlignerRecycleReusesStorage(t *testing.T) {
 // cuts recycled as they are consumed, pushing allocates nothing once the
 // ring and free list have warmed up.
 func TestAlignerSteadyStateAllocationFree(t *testing.T) {
-	a, _ := NewAligner(4)
+	a, _ := NewAlignerAt(4, 0)
 	emit := func(c Cut) error { a.Recycle(c); return nil }
 	state := []int64{1, 2, 3}
 	idx := 0
@@ -386,7 +361,7 @@ func TestAlignerSteadyStateAllocationFree(t *testing.T) {
 // TestSliderRetireCallback: cuts must be retired exactly once each, only
 // after the last window containing them was emitted.
 func TestSliderRetireCallback(t *testing.T) {
-	s, err := NewSlider(3, 1)
+	s, err := NewSliderAt(3, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
