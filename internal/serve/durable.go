@@ -4,13 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
 
 	"cwcflow/internal/core"
-	"cwcflow/internal/sim"
 	"cwcflow/internal/store"
 )
 
@@ -151,82 +149,27 @@ func failedRecovery(rec *store.JobRecord, err error) *Job {
 	return terminalJob(rec, StateFailed, fmt.Sprintf("recovery failed: %v", err))
 }
 
-// resumeJob rebuilds an in-flight job from the journal and resumes it on
-// the local pool: the published-window frontier defines the resume cut,
-// every trajectory restarts from its newest checkpoint at or below that
-// cut (or from its seed, deduplicated by the resume filter in
-// Job.accept), and the window stream continues the crashed run's
-// sequence bit-identically. rec must be a store.Snapshot: it is read after
-// the job has started journaling.
+// resumeJob rebuilds an in-flight job from the journal and resumes it
+// under its slab scheduler, on the local pool and any live workers alike:
+// the published-window frontier defines the resume cut, every trajectory
+// restarts from its newest checkpoint at or below that cut (or from its
+// seed), the scheduler's filter drops what it re-simulates below the cut,
+// and the window stream continues the crashed run's sequence
+// bit-identically. rec must be a store.Snapshot: it is read after the job
+// has started journaling.
 func (s *Server) resumeJob(rec *store.JobRecord) error {
 	var spec JobSpec
 	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
 		return fmt.Errorf("decoding journaled spec: %w", err)
 	}
-	factory, err := s.opts.Resolver(core.ModelRef{Name: spec.Model, Omega: spec.Omega})
+	cfg, species, cuts, err := s.runConfig(spec)
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{
-		Factory:       factory,
-		Trajectories:  spec.Trajectories,
-		End:           spec.End,
-		Quantum:       spec.Quantum,
-		Period:        spec.Period,
-		SimWorkers:    s.pool.Workers(),
-		StatEngines:   1,
-		WindowSize:    spec.WindowSize,
-		WindowStep:    spec.WindowStep,
-		Species:       spec.Species,
-		KMeansK:       spec.KMeansK,
-		PeriodHalfWin: spec.PeriodHalfWin,
-		BaseSeed:      spec.Seed,
-	}
-	cfg, err = cfg.Normalized()
-	if err != nil {
-		return err
-	}
-	species, err := core.ResolveSpecies(cfg)
-	if err != nil {
-		return err
-	}
-	cuts := int(math.Floor(cfg.End/cfg.Period)) + 1
-	statInflight := (s.stats.Engines() + 1) / 2
-	job := newJob(rec.ID, spec, cfg, species, cuts, s.opts, s.pool.Workers(), statInflight)
+	job := s.newJob(rec.ID, spec, cfg, species, cuts)
 	job.digest = SpecDigest(spec)
-	job.resubmit = s.pool.resubmit
 	job.tenant = recoveredTenant(rec)
-	job.sampleCost = int64(cfg.Trajectories) * int64(cuts)
-	job.onTerminal = s.jobFinished
-	job.initPersist(s.store, s.opts.CheckpointSamples)
 	job.initResume(rec)
-	// Recovered jobs resume on the local pool only: checkpoints are local
-	// engine snapshots, and at boot no remote worker is connected yet
-	// anyway. New submissions shard across the cluster as usual.
-	build := func(i int) (*sim.Task, error) {
-		t, err := core.NewTrajectoryTask(cfg, i)
-		if err != nil {
-			return nil, err
-		}
-		if cp, ok := rec.BestCheckpoint(i, job.resumeCut); ok {
-			if rerr := t.Restore(cp.Sim); rerr != nil {
-				// A stale or incompatible checkpoint is not fatal: fall
-				// back to replaying the trajectory from its seed.
-				t, err = core.NewTrajectoryTask(cfg, i)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		return t, nil
-	}
-	job.startFn = func() {
-		go job.runWindower(s.stats)
-		if err := s.pool.Submit(job, cfg.Trajectories, build); err != nil {
-			job.noPersist.Store(true)
-			job.fail(err)
-		}
-	}
 
 	// Recovered jobs re-enter admission so the tenant's concurrency cap
 	// holds across restarts: journal order is submission order, so a job

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -143,49 +144,97 @@ func verifyMidRunImage(t *testing.T, img, id string, minWindows int) {
 	t.Fatalf("job %s not in crash image", id)
 }
 
+// unrestorableSim is a snapshotable engine whose Restore always fails —
+// the engine of a build that cannot read the journal's checkpoints.
+type unrestorableSim struct{ sim.SnapshotSimulator }
+
+func (unrestorableSim) Restore([]byte) error { return errors.New("incompatible checkpoint") }
+
+// unrestorableResolver wraps the real model registry with engines whose
+// Restore fails.
+func unrestorableResolver(ref core.ModelRef) (core.SimulatorFactory, error) {
+	inner, err := core.FactoryFor(ref)
+	if err != nil {
+		return nil, err
+	}
+	return func(traj int, seed int64) (sim.Simulator, error) {
+		s, err := inner(traj, seed)
+		if err != nil {
+			return nil, err
+		}
+		return unrestorableSim{s.(sim.SnapshotSimulator)}, nil
+	}, nil
+}
+
 // TestResumeDigestMatchesUninterrupted is the durability acceptance pin:
 // a server restarted from a mid-run crash image resumes the job from its
 // checkpoints and finishes with a window-stats digest bit-identical to
-// the uninterrupted run's.
+// the uninterrupted run's. When no checkpoint restores, every trajectory
+// replays from its seed instead — the job still finishes with the same
+// digest, and its trace says why.
 func TestResumeDigestMatchesUninterrupted(t *testing.T) {
-	dir := t.TempDir()
-	_, base := newDurableServer(t, dir, serve.Options{Resolver: throttledResolver(30 * time.Microsecond)})
-	st := submitJob(t, base, sirSpec())
+	for _, tc := range []struct {
+		name     string
+		resolver func(core.ModelRef) (core.SimulatorFactory, error)
+		fallback bool // every checkpoint fails to restore
+	}{
+		{name: "checkpoints"},
+		{name: "restore-fails", resolver: unrestorableResolver, fallback: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, base := newDurableServer(t, dir, serve.Options{Resolver: throttledResolver(30 * time.Microsecond)})
+			st := submitJob(t, base, sirSpec())
 
-	// Take the crash image only after real mid-run state exists: some
-	// windows published (durable frontier > 0) and more still to come.
-	waitWindows(t, base, st.ID, 3)
-	img := crashImage(t, dir)
-	verifyMidRunImage(t, img, st.ID, 3)
+			// Take the crash image only after real mid-run state exists: some
+			// windows published (durable frontier > 0) and more still to come.
+			waitWindows(t, base, st.ID, 3)
+			img := crashImage(t, dir)
+			verifyMidRunImage(t, img, st.ID, 3)
 
-	// The uninterrupted run is the reference.
-	refSt, refDigest := runStatusAndDigest(t, base, st.ID)
-	if refSt.State != serve.StateDone {
-		t.Fatalf("reference job ended %s (%s)", refSt.State, refSt.Error)
-	}
+			// The uninterrupted run is the reference.
+			refSt, refDigest := runStatusAndDigest(t, base, st.ID)
+			if refSt.State != serve.StateDone {
+				t.Fatalf("reference job ended %s (%s)", refSt.State, refSt.Error)
+			}
 
-	// "Restart" from the crash image: the job must be recovered as
-	// running (or already finishing) and complete with the same digest.
-	_, base2 := newDurableServer(t, img, serve.Options{})
-	final, digest := runStatusAndDigest(t, base2, st.ID)
-	if final.State != serve.StateDone {
-		t.Fatalf("resumed job ended %s (%s)", final.State, final.Error)
-	}
-	if !final.Recovered {
-		t.Fatal("resumed job not marked recovered")
-	}
-	if final.Progress.Windows != refSt.Progress.Windows {
-		t.Fatalf("resumed run published %d windows, want %d", final.Progress.Windows, refSt.Progress.Windows)
-	}
-	if digest != refDigest {
-		t.Fatalf("digest diverged after crash+resume:\n  uninterrupted %s\n  resumed       %s", refDigest, digest)
+			// "Restart" from the crash image: the job must be recovered as
+			// running (or already finishing) and complete with the same digest.
+			_, base2 := newDurableServer(t, img, serve.Options{Resolver: tc.resolver})
+			final, digest := runStatusAndDigest(t, base2, st.ID)
+			if final.State != serve.StateDone {
+				t.Fatalf("resumed job ended %s (%s)", final.State, final.Error)
+			}
+			if !final.Recovered {
+				t.Fatal("resumed job not marked recovered")
+			}
+			if final.Progress.Windows != refSt.Progress.Windows {
+				t.Fatalf("resumed run published %d windows, want %d", final.Progress.Windows, refSt.Progress.Windows)
+			}
+			if digest != refDigest {
+				t.Fatalf("digest diverged after crash+resume:\n  uninterrupted %s\n  resumed       %s", refDigest, digest)
+			}
+			fallbacks := 0
+			spans, _ := fetchTrace(t, base2, st.ID)
+			for _, sp := range spans {
+				if sp.Name == "restore-fallback" {
+					fallbacks++
+				}
+			}
+			if tc.fallback && fallbacks == 0 {
+				t.Fatal("no restore-fallback event in the trace of a job whose checkpoints cannot restore")
+			}
+			if !tc.fallback && fallbacks > 0 {
+				t.Fatalf("%d restore-fallback events with restorable checkpoints", fallbacks)
+			}
+		})
 	}
 }
 
 // TestResumeUnsnapshotableModelReplays: a model whose engine cannot
 // snapshot (the synthetic walk simulator) still resumes bit-identically —
-// recovery replays each trajectory from its seed and the resume filter
-// drops the prefix below the durable window frontier.
+// recovery replays each trajectory from its seed and the scheduler's
+// filter drops the prefix below the durable window frontier.
 func TestResumeUnsnapshotableModelReplays(t *testing.T) {
 	opts := serve.Options{Resolver: walkResolver(time.Millisecond)}
 	dir := t.TempDir()

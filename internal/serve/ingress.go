@@ -11,8 +11,8 @@ import (
 // ingress is a job's bounded, non-blocking sample-batch queue between the
 // pool collector and the job's windower goroutine. The collector side
 // never blocks: a push over the high-water mark marks the job congested —
-// which makes the pool defer the job's remaining quanta instead of
-// simulating into a queue nobody drains — and a push over the hard
+// which makes its scheduler defer the job's slabs instead of simulating
+// into a queue nobody drains — and a push over the hard
 // capacity (unreachable while deferral works, since capacity exceeds the
 // high-water mark by more than the pool's possible in-flight quanta)
 // spills the oldest batch, which is counted and fails the job: spilled
@@ -29,6 +29,10 @@ type ingress struct {
 	spilled   int64
 	notify    chan struct{}  // 1-buffered consumer wakeup
 	wait      *obs.Histogram // batch residency push → pop (nil-safe)
+
+	// wasCongested: a push reached the high-water mark since drainedBelow
+	// last reported the backlog drained.
+	wasCongested bool
 }
 
 func newIngress(highWater, capacity int, wait *obs.Histogram) *ingress {
@@ -71,6 +75,9 @@ func (q *ingress) push(b *sim.Batch) (spilled int64) {
 	q.ring[slot] = b
 	q.stamps[slot] = time.Now().UnixNano()
 	q.n++
+	if q.n >= q.highWater {
+		q.wasCongested = true
+	}
 	spilled = q.spilled
 	q.mu.Unlock()
 	q.wake()
@@ -135,8 +142,20 @@ func (q *ingress) depth() int {
 	return q.n
 }
 
+// drainedBelow reports, once after each congestion, that the backlog
+// has drained below low.
+func (q *ingress) drainedBelow(low int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if !q.wasCongested || q.n >= low {
+		return false
+	}
+	q.wasCongested = false
+	return true
+}
+
 // congested reports whether the backlog is at or above the high-water
-// mark — the pool's cue to defer this job's quanta.
+// mark — the scheduler's cue to defer this job's slabs.
 func (q *ingress) congested() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()

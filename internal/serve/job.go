@@ -226,13 +226,13 @@ type Job struct {
 	startFn      func()
 	onTerminal   func(*Job)
 
-	// Observability. metrics is the server's metric set (never nil — a
-	// zero-value set of nil-safe no-op metrics when the job is built
-	// outside a Server); obsTenantQuanta is the job's cached per-tenant
-	// quantum counter child; trace is the job's bounded span log, created
-	// with the job and readable concurrently (GET /jobs/{id}/trace);
-	// enqueuedAt stamps admission-queue entry for the admission-wait
-	// histogram. All set before any job goroutine starts.
+	// Observability. metrics is the server's metric set (nil only in the
+	// terminal shells of recovered jobs, which never run); obsTenantQuanta
+	// is the job's cached per-tenant quantum counter child; trace is the
+	// job's bounded span log, created with the job and readable
+	// concurrently (GET /jobs/{id}/trace); enqueuedAt stamps
+	// admission-queue entry for the admission-wait histogram. All set
+	// before any job goroutine starts.
 	metrics         *serveMetrics
 	obsTenantQuanta *obs.Counter
 	trace           *obs.Trace
@@ -247,11 +247,9 @@ type Job struct {
 	cancel context.CancelFunc
 	in     *ingress // pool collector → windower, never blocking the collector
 
-	// lowWater is the ingress depth below which parked tasks reinject;
-	// resubmit (set once at submission, before any task runs) trickles
-	// them back into the pool.
+	// lowWater is the ingress depth below which the windower kicks the
+	// scheduler, so heads held back by congestion are granted again.
 	lowWater int
-	resubmit func([]poolTask)
 
 	// statSlots caps this job's windows in flight on the shared stat farm
 	// (fairness: one heavy tenant cannot occupy every engine). The
@@ -268,13 +266,11 @@ type Job struct {
 	// persist journals published windows, trajectory checkpoints and the
 	// terminal transition; noPersist suppresses the terminal event during
 	// server shutdown, which is not a job outcome — the job must recover
-	// as running. resumeCut > 0 marks a recovered job: samples below it
-	// fed the durably published windows, so accept drops them before any
-	// accounting, and the Analysis starts at window startSeq, whose first
-	// cut it is. recovered marks both resumed and re-served jobs in Status.
+	// as running. A recovered job's Analysis starts at window startSeq,
+	// the durable frontier (its scheduler's heads start at that window's
+	// first cut). recovered marks both resumed and re-served jobs in Status.
 	persist    *store.Store
 	ckptEvery  int // samples between trajectory checkpoints
-	resumeCut  int
 	startSeq   int
 	recovered  bool
 	noPersist  atomic.Bool
@@ -286,10 +282,10 @@ type Job struct {
 	// before the lease is released with a pointer to it.
 	drainCkpt atomic.Bool
 
-	// sched, when non-nil, is the job's slab scheduler: every delivery
-	// passes through its dedup filter and terminal transitions stop it.
-	// Set once at submission, before any task can produce a delivery.
-	sched atomic.Pointer[remoteJob]
+	// sched is the job's slab scheduler, built with the job: every
+	// trajectory runs through it, every delivery passes its dedup filter,
+	// and the terminal transition stops it.
+	sched *slabSched
 
 	mu        sync.Mutex
 	lastCkpt  map[int]int // per-trajectory sample index of the last checkpoint
@@ -307,7 +303,6 @@ type Job struct {
 	winLat    stats.Welford // seconds of analysis per window
 	winP50    *stats.P2Quantile
 	winP95    *stats.P2Quantile
-	parked    []poolTask        // congestion-deferred tasks, off the farm
 	results   []core.WindowStat // ring of the most recent windows
 	firstKept int               // window index of results[0]
 	subs      map[*subscriber]struct{}
@@ -319,7 +314,11 @@ type Job struct {
 	etaOK  bool
 }
 
-func newJob(id string, spec JobSpec, cfg core.Config, species []int, samplesPerTraj int, opts Options, poolWorkers, statInflight int) *Job {
+// newJob makes a job of this server, submitted or recovered, together with
+// its slab scheduler; cuts is the samples per trajectory. The caller sets
+// the tenancy fields, then registers and starts the job.
+func (s *Server) newJob(id string, spec JobSpec, cfg core.Config, species []int, cuts int) *Job {
+	opts, poolWorkers := s.opts, s.pool.Workers()
 	ctx, cancel := context.WithCancel(context.Background())
 	p50, _ := stats.NewP2Quantile(0.5)
 	p95, _ := stats.NewP2Quantile(0.95)
@@ -333,27 +332,23 @@ func newJob(id string, spec JobSpec, cfg core.Config, species []int, samplesPerT
 	// streams, so remote pushes can never overshoot the bound either.
 	highWater := opts.SampleBuffer
 	capacity := highWater + poolWorkers + opts.QueueDepth + 8 + maxJobWorkerStreams
-	if statInflight < 1 {
-		statInflight = 1
-	}
 	lowWater := highWater / 2
 	if lowWater < 1 {
 		lowWater = 1
 	}
-	m := opts.metrics
-	if m == nil {
-		// Built outside a Server (tests): a zero metric set, where every
-		// field is a nil obs metric and every observation a no-op.
-		m = new(serveMetrics)
-	}
-	return &Job{
+	// Per-job cap on concurrently analysed windows: half the farm (rounded
+	// up), so a single stats-heavy tenant leaves engines for everyone else.
+	statInflight := (s.stats.Engines() + 1) / 2
+	m := s.m
+	j := &Job{
 		id:          id,
 		spec:        spec,
 		cfg:         cfg,
 		species:     species,
 		totalTasks:  cfg.Trajectories,
-		totalCuts:   samplesPerTraj,
-		totalWins:   window.WindowCount(samplesPerTraj, cfg.WindowSize, cfg.WindowStep),
+		totalCuts:   cuts,
+		totalWins:   window.WindowCount(cuts, cfg.WindowSize, cfg.WindowStep),
+		sampleCost:  int64(cfg.Trajectories) * int64(cuts),
 		poolWorkers: poolWorkers,
 		resultCap:   opts.ResultBuffer,
 		subCap:      opts.SubscriberBuffer,
@@ -372,7 +367,14 @@ func newJob(id string, spec JobSpec, cfg core.Config, species []int, samplesPerT
 		winP50:      p50,
 		winP95:      p95,
 		subs:        make(map[*subscriber]struct{}),
+		onTerminal:  s.jobFinished,
 	}
+	j.startFn = func() { _ = s.startJob(j) } // a failure lands on the job
+	if s.store != nil {
+		j.initPersist(s.store, opts.CheckpointSamples)
+	}
+	j.sched = newSlabSched(s, j)
+	return j
 }
 
 // jobOrigin is the span origin for this server's own lifecycle spans.
@@ -399,41 +401,47 @@ func (j *Job) initPersist(st *store.Store, ckptEvery int) {
 
 // initResume primes a recovered job with the journal's durable state:
 // the published-window frontier (resume cut + window sequence), the
-// retained result tail, and the original submission time. Call before
-// any job goroutine starts.
+// retained result tail, the original submission time, and the scheduler's
+// heads at the resume cut. Call before any job goroutine starts.
 func (j *Job) initResume(rec *store.JobRecord) {
 	windows := rec.WindowCount
-	j.resumeCut = windows * j.cfg.WindowStep
+	cut := windows * j.cfg.WindowStep
 	j.startSeq = windows
 	j.recovered = true
 	j.submitted = rec.SubmittedAt
 	j.windows = windows
 	j.results = append(j.results, rec.Windows...)
 	j.firstKept = rec.FirstRetained
-	j.cuts = j.resumeCut
-	if j.cuts > j.totalCuts {
-		j.cuts = j.totalCuts
-	}
+	j.cuts = min(cut, j.totalCuts)
+	j.sched.resume(rec, cut)
 }
 
-// maybeCheckpoint journals the task's engine snapshot when the
-// trajectory has advanced ckptEvery samples past its last checkpoint.
-// Engines that cannot snapshot (the CWC term-rewriting engine) are
+// checkpointDue reports whether trajectory traj's snapshot at sample index
+// idx should be journaled — it is ckptEvery samples past the trajectory's
+// last checkpoint — and if so records idx as that checkpoint. A drain
+// overrides the cadence (any progress past the last checkpoint is worth
+// journaling before the handoff) but still dedupes: a trajectory that has
+// not advanced, or a duplicated or stale offer, has nothing to add.
+func (j *Job) checkpointDue(traj, idx int) bool {
+	force := j.drainCkpt.Load()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	last, seen := j.lastCkpt[traj]
+	if seen && idx-last < j.ckptEvery && !(force && idx > last) {
+		return false
+	}
+	j.lastCkpt[traj] = idx
+	return true
+}
+
+// maybeCheckpoint journals the task's engine snapshot when a checkpoint is
+// due. Engines that cannot snapshot (the CWC term-rewriting engine) are
 // silently skipped — recovery replays them from the seed instead.
 func (j *Job) maybeCheckpoint(t *sim.Task) {
 	idx := t.NextIndex()
-	force := j.drainCkpt.Load()
-	j.mu.Lock()
-	last, seen := j.lastCkpt[t.Traj]
-	// A drain overrides the cadence (any progress past the last
-	// checkpoint is worth journaling before the handoff) but still
-	// dedupes: a trajectory that has not advanced has nothing to add.
-	if seen && idx-last < j.ckptEvery && !(force && idx > last) {
-		j.mu.Unlock()
+	if !j.checkpointDue(t.Traj, idx) {
 		return
 	}
-	j.lastCkpt[t.Traj] = idx
-	j.mu.Unlock()
 	data, ok, err := t.Snapshot()
 	if err != nil || !ok {
 		return
@@ -458,26 +466,13 @@ func (j *Job) durableWindows() int {
 
 // remoteCheckpoint journals the engine snapshot a remote slab ended with
 // (ResultMsg.Snap), advancing the durable frontier with remote progress
-// at the same ckptEvery cadence a local checkpoint follows. A duplicated
-// delivery can offer a snapshot twice; the per-trajectory high-water mark
-// skips duplicates and stale snapshots.
+// at the same cadence a local checkpoint follows.
 func (j *Job) remoteCheckpoint(traj, next int, data []byte) {
-	if j.persist == nil || j.noPersist.Load() {
+	if j.persist == nil || j.noPersist.Load() || !j.checkpointDue(traj, next) {
 		return
 	}
-	j.mu.Lock()
-	last, seen := j.lastCkpt[traj]
-	if seen && next-last < j.ckptEvery && !(j.drainCkpt.Load() && next > last) {
-		j.mu.Unlock()
-		return
-	}
-	j.lastCkpt[traj] = next
-	j.mu.Unlock()
 	_ = j.persist.AppendCheckpoint(j.id, traj, next, data)
 }
-
-// setSched installs the job's remote quantum scheduler.
-func (j *Job) setSched(rj *remoteJob) { j.sched.Store(rj) }
 
 // State returns the job's current lifecycle phase.
 func (j *Job) State() State {
@@ -488,17 +483,18 @@ func (j *Job) State() State {
 
 func (j *Job) terminal() bool { return j.State().Terminal() }
 
-// Cancel moves the job to StateCancelled (no-op once terminal). Tasks
+// Cancel moves the job to StateCancelled (no-op once terminal). Slabs
 // still queued or in flight on the pool are dropped at their next
-// scheduling step.
+// scheduling step, and no further slab is granted.
 func (j *Job) Cancel() { j.setTerminal(StateCancelled, "") }
 
 func (j *Job) fail(err error) { j.setTerminal(StateFailed, err.Error()) }
 
 // setTerminal performs the one idempotent transition into a final state:
 // it stamps the finish time, cancels the job context (which stops the
-// feeder, the workers' interest and the windower), drains the ingress
-// queue and closes every subscriber's channel.
+// windower and any worker dial in progress), stops the slab scheduler —
+// no slab is granted after it — drains the ingress queue and closes every
+// subscriber's channel.
 func (j *Job) setTerminal(st State, errMsg string) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -510,8 +506,6 @@ func (j *Job) setTerminal(st State, errMsg string) {
 	j.finished = time.Now()
 	subs := j.subs
 	j.subs = nil
-	parked := j.parked
-	j.parked = nil
 	submitted, finished := j.submitted, j.finished
 	j.mu.Unlock()
 	detail := string(st)
@@ -523,9 +517,7 @@ func (j *Job) setTerminal(st State, errMsg string) {
 		j.logf("job %s %s: %s", j.id, st, j.trace.Summary())
 	}
 	j.cancel()
-	if rj := j.sched.Load(); rj != nil {
-		rj.stop()
-	}
+	j.sched.stop()
 	// Journal the outcome (fsynced): completed results must outlive the
 	// process, and failures/cancellations must not resume on restart.
 	// Shutdown is the exception (noPersist): the job recovers as running.
@@ -542,12 +534,6 @@ func (j *Job) setTerminal(st State, errMsg string) {
 		_ = j.persist.AppendTerminal(j.id, string(st), errMsg, statusJSON)
 	}
 	j.in.drain()
-	// Hand any parked tasks back to the pool: its workers drop a terminal
-	// job's tasks with completion accounting, which is what drains the
-	// job from the pool (park refuses new tasks once terminal).
-	if len(parked) > 0 && j.resubmit != nil {
-		j.resubmit(parked)
-	}
 	for sub := range subs {
 		close(sub.ch)
 	}
@@ -559,37 +545,18 @@ func (j *Job) setTerminal(st State, errMsg string) {
 }
 
 // accept routes one delivery into the job — from the pool collector for
-// locally-simulated quanta, and from the remote scheduler's per-worker
-// readers for quanta simulated on the cluster. It NEVER blocks: the batch
-// lands in the job's bounded ingress queue (or, past the hard bound,
-// spills), so a job whose analysis lags cannot pause delivery to any other
-// job. Deliveries of one task arrive in order from whichever single source
-// currently owns the trajectory, and its final task-done marker arrives
-// after every sample batch, so closing the ingress here is race-free.
+// locally-simulated slabs, and from the scheduler's per-worker readers for
+// slabs simulated on the cluster. It NEVER blocks: the batch lands in the
+// job's bounded ingress queue (or, past the hard bound, spills), so a job
+// whose analysis lags cannot pause delivery to any other job. Deliveries
+// of one trajectory arrive in order from whichever single site currently
+// holds its slab, and its final task-done marker arrives after every
+// sample batch, so closing the ingress here is race-free. The scheduler's
+// filter first drops whatever a replayed slab re-simulated below the
+// trajectory's frontier (a requeue, a resume from a checkpoint below the
+// resume cut) and duplicate completion markers, before any accounting.
 func (j *Job) accept(_ context.Context, d delivery) error {
-	if j.resumeCut > 0 && d.batch != nil {
-		// Resume filter: a recovered job's trajectories restart at (or
-		// before) their last checkpoint, so the replayed prefix below the
-		// durable window frontier must never reach the stream again.
-		kept := d.batch.Samples[:0]
-		for _, smp := range d.batch.Samples {
-			if smp.Index >= j.resumeCut {
-				kept = append(kept, smp)
-			}
-		}
-		d.batch.Samples = kept
-		if len(kept) == 0 {
-			d.batch.Release()
-			d.batch = nil
-		}
-	}
-	rj := j.sched.Load()
-	if rj != nil {
-		// Dedup for replayed slabs: drop the samples below the
-		// trajectory's frontier and duplicate completion markers before
-		// any accounting.
-		rj.filter(&d)
-	}
+	j.sched.filter(&d)
 	if d.err != nil {
 		j.fail(fmt.Errorf("serve: trajectory simulation: %w", d.err))
 	}
@@ -625,69 +592,38 @@ func (j *Job) accept(_ context.Context, d delivery) error {
 	if closeStream {
 		j.in.close()
 	}
-	if rj != nil && d.slabEnd {
+	if d.slabEnd {
 		// Only now, with the slab's last samples in the ingress, may the
 		// trajectory's next slab be granted (possibly to another site):
 		// per-trajectory sample order into the windower is preserved.
-		rj.localSlabEnd(d.traj)
+		j.sched.localSlabEnd(d.traj)
 	}
 	return nil
 }
 
 // congested reports whether the job's ingress backlog is over its
-// high-water mark; the pool then parks the job's quanta instead of
-// simulating into a queue its analysis cannot drain.
+// high-water mark; the scheduler then grants none of the job's slabs, and
+// a pool worker ends a granted one without simulating into a queue the
+// job's analysis cannot drain.
 func (j *Job) congested() bool { return j.in.congested() }
 
-// noteDeferred counts one deferred dispatch (the slice a parked task would
-// have run), in the job's progress (per-job JSON) and the service-wide
-// counter, from the single choke point where the pool parks a task.
+// noteDeferred counts one deferred dispatch (a slab the pool ended
+// unrun), in the job's progress (per-job JSON) and the service-wide
+// counter.
 func (j *Job) noteDeferred() {
 	j.deferred.Add(1)
 	j.metrics.deferred.Inc()
 }
 
-// park shelves a congestion-deferred task on the job, off the farm
-// entirely, until unparkIfDrained (or the terminal transition) reinjects
-// it. It reports false if the job is already terminal — the caller then
-// drops the task with completion accounting instead.
-func (j *Job) park(pt poolTask) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.parked = append(j.parked, pt)
-	j.mu.Unlock()
-	// The congestion observation that led here may be stale: the windower
-	// can have drained the ring (and run its unpark check) between the
-	// worker's congested() check and this park. Wake it so the task can
-	// never be stranded — a spurious wakeup just costs one empty loop.
-	if j.in.depth() < j.lowWater {
-		j.in.wake()
-	}
-	return true
-}
-
-// unparkIfDrained reinjects the parked tasks once the ingress backlog has
-// drained below the low-water mark. Called by the windower between
-// batches; the reinjection itself runs on a pool feeder goroutine, so the
-// windower never blocks on the dispatcher.
+// unparkIfDrained kicks the scheduler once a congested ingress backlog has
+// drained below the low-water mark: heads held back by the congestion are
+// granted again and readers blocked on it resume. Called by the windower
+// between batches. Every other grant follows the event that makes it
+// possible (a slab's end, a lost worker, the watchdog's tick), so kicking
+// after every batch would only contend for the scheduler's mutex.
 func (j *Job) unparkIfDrained() {
-	if j.in.depth() >= j.lowWater {
-		return
-	}
-	j.mu.Lock()
-	tasks := j.parked
-	j.parked = nil
-	j.mu.Unlock()
-	if len(tasks) > 0 && j.resubmit != nil {
-		j.resubmit(tasks)
-	}
-	if rj := j.sched.Load(); rj != nil {
-		// The remote scheduler also defers trajectory starts while the
-		// ingress is congested; resume them now that it drained.
-		rj.kick()
+	if j.in.drainedBelow(j.lowWater) {
+		j.sched.kick()
 	}
 }
 
@@ -707,6 +643,9 @@ func (j *Job) runWindower(farm *core.StatFarm) {
 		return
 	}
 	pub.an = an // before the first window reaches an engine
+	// The job's first grant, here rather than on the submitter: building
+	// the ensemble's tasks costs the caller of Submit nothing.
+	j.sched.kick()
 	for {
 		batch, done, spilled := j.in.pop()
 		if spilled > 0 {

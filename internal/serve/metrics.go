@@ -44,7 +44,7 @@ type serveMetrics struct {
 	// Pipeline throughput and backpressure counters.
 	quantaLocal  *obs.Counter
 	quantaRemote *obs.Counter
-	deferred     *obs.Counter // quanta parked by congestion deferral
+	deferred     *obs.Counter // pool slabs ended unrun by congestion deferral
 	spilled      *obs.Counter // batches spilled from a hard-bounded ingress ring
 	requeued     *obs.Counter // slabs requeued off dead/timed-out workers
 	windows      *obs.Counter // windows published in order
@@ -98,7 +98,7 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	m.quantaRemote = reg.Counter("cwc_quanta_total",
 		"Quantum batches completed by site.", "site", "remote")
 	m.deferred = reg.Counter("cwc_deferred_quanta_total",
-		"Quanta parked by congestion deferral (job ingress over its high-water mark).")
+		"Pool slabs ended without running a quantum by congestion deferral (job ingress over its high-water mark).")
 	m.spilled = reg.Counter("cwc_spilled_batches_total",
 		"Sample batches spilled from a hard-bounded ingress ring (fails the job).")
 	m.requeued = reg.Counter("cwc_requeued_tasks_total",

@@ -11,11 +11,12 @@ import (
 
 // Pool is the shared simulation worker pool: one long-lived feedback farm
 // (ff.FarmFeedback) whose input stream stays open for the lifetime of the
-// service and carries slice-sized tasks from every active job. On-demand
-// scheduling interleaves the jobs' tasks, so a newly submitted job starts
-// receiving service within one slice of the running jobs, and the
-// feedback channel keeps load balanced across heavily uneven trajectories
-// exactly as in the batch pipeline.
+// service and carries the local slabs of every active job, each injected
+// by its job's slab scheduler (see slabSched). On-demand scheduling
+// interleaves the jobs' slabs, so a newly started job receives service
+// within one slice of the running jobs, and within a slab the feedback
+// channel keeps load balanced across heavily uneven trajectories exactly
+// as in the batch pipeline.
 //
 // Workers emit one delivery per slice — the samples of one or, when quanta
 // are cheap, several quanta of one trajectory in a single batch (see
@@ -23,33 +24,31 @@ import (
 // collector is amortised over a burst. The collector routes each delivery to
 // the owning job's ingress queue with a non-blocking push: a job whose
 // analysis lags cannot stall delivery to any other tenant. Backpressure on
-// a lagging job is applied at the *scheduling* step instead — a worker
-// that picks up a task of a congested job (ingress over its high-water
-// mark) parks the task on the job, off the farm entirely, until the job's
-// windower drains below its low-water mark and reinjects it. The pool's
-// capacity flows to the tenants that can absorb results (a congested
-// tenant costs neither worker time nor dispatcher churn while parked),
-// and there is still no point simulating faster than a job can analyse.
+// a lagging job is applied at the *scheduling* step instead: its scheduler
+// grants no slab while the job's ingress is over its high-water mark, and
+// a worker that picks up a slab of such a job ends it without running a
+// quantum, returning the head to the scheduler's FIFO until the job's
+// windower drains below its low-water mark. The pool's capacity flows to
+// the tenants that can absorb results (a congested tenant costs neither
+// worker time nor dispatcher churn while it waits), and there is still no
+// point simulating faster than a job can analyse.
 type Pool struct {
 	workers int
 	submit  chan poolTask
 	ctx     context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
-	feeders sync.WaitGroup
 
-	mu     sync.Mutex
-	closed bool
-	err    error
+	mu  sync.Mutex
+	err error
 }
 
-// poolTask is one job's trajectory task riding the shared farm. until,
-// when positive, ends the task's stay at that sample index: it is one slab
-// of a sharded job (see remoteJob), which leaves the feedback loop there
-// instead of running to the trajectory's end. enq is the scheduler-queue
-// entry stamp (unix nanoseconds), written by the timedQueue decorator on
-// push and consumed on pop for the sched-wait histogram; zero for tasks
-// that bypassed the queue.
+// poolTask is one local slab riding the shared farm: a job's trajectory
+// task, which leaves the feedback loop at sample index until (0: the
+// trajectory's end). enq is the scheduler-queue entry stamp (unix
+// nanoseconds), written by the timedQueue decorator on push and consumed
+// on pop for the sched-wait histogram; zero for tasks that bypassed the
+// queue.
 type poolTask struct {
 	job   *Job
 	task  *sim.Task
@@ -66,7 +65,7 @@ type poolTask struct {
 // worker would tear down the shared farm and every other job with it.
 type delivery struct {
 	job     *Job
-	traj    int // trajectory id, for the remote scheduler's bookkeeping
+	traj    int // trajectory id, for the slab scheduler's bookkeeping
 	batch   *sim.Batch
 	elapsed time.Duration // service time of the quanta behind this delivery
 	quanta  int           // how many those were (0 means 1)
@@ -104,7 +103,7 @@ func NewPool(workers, queueDepth int, queue ff.TaskQueue[poolTask]) *Pool {
 	farm := ff.NewFarmFeedback(workers, func(int) ff.FeedbackWorker[poolTask, delivery] {
 		var fb poolTask // per-worker feedback cell, read before the next DoStep
 		return ff.FeedbackWorkerFunc[poolTask, delivery](func(_ context.Context, pt poolTask, emit ff.Emit[delivery]) (*poolTask, error) {
-			again, err := poolWorker(pt, emit, sliceTime)
+			again, err := poolWorker(&pt, emit, sliceTime)
 			if !again || err != nil {
 				return nil, err
 			}
@@ -146,10 +145,12 @@ const (
 // (sliceSteps steps or maxTime, sliceTime outside tests) is spent. Stopping
 // at window boundaries keeps dispatch breadth-first (no trajectory runs a
 // window ahead within one slice), which is what the slab scheduler's skew
-// bound and a prompt first window rely on. again reports whether the task
-// is unfinished (and short of its slab's until) and should re-enter the
-// dispatcher through the farm's feedback channel.
-func poolWorker(pt poolTask, emit ff.Emit[delivery], maxTime time.Duration) (again bool, err error) {
+// bound and a prompt first window rely on. A slab that reaches its until
+// runs on as the trajectory's next slab when the job's scheduler extends
+// it (pt.until moves on). again reports whether the task is unfinished
+// (and short of its slab's until) and should re-enter the dispatcher
+// through the farm's feedback channel.
+func poolWorker(pt *poolTask, emit ff.Emit[delivery], maxTime time.Duration) (again bool, err error) {
 	job, task := pt.job, pt.task
 	traj := task.Traj
 	if job.terminal() {
@@ -161,16 +162,12 @@ func poolWorker(pt poolTask, emit ff.Emit[delivery], maxTime time.Duration) (aga
 	if job.congested() {
 		// The job's ingress queue is over its high-water mark: simulating
 		// another slice would only grow a backlog its analysis cannot
-		// drain. Park the task on the job — off the farm entirely, costing
-		// no worker time and no dispatcher churn — until the job's
-		// windower drains below the low-water mark (or the job turns
-		// terminal) and reinjects it. park fails only if the job went
-		// terminal in between; then drop-with-accounting as above.
-		if job.park(pt) {
-			job.noteDeferred()
-			return false, nil
-		}
-		return false, emit(delivery{job: job, traj: traj, taskDone: true, slabEnd: true})
+		// drain. End the slab unrun — off the farm, costing no worker time
+		// and no dispatcher churn: the head waits in the scheduler's FIFO,
+		// which grants nothing while the job is congested, until the
+		// windower drains below the low-water mark and kicks it.
+		job.noteDeferred()
+		return false, emit(delivery{job: job, traj: traj, slabEnd: true})
 	}
 	start := time.Now()
 	b := sim.GetBatch()
@@ -216,6 +213,11 @@ func poolWorker(pt poolTask, emit ff.Emit[delivery], maxTime time.Duration) (aga
 		d.taskDone, d.dead, d.steps = true, task.Dead(), task.Steps()
 	}
 	d.slabEnd = d.taskDone || (pt.until > 0 && task.NextIndex() >= pt.until)
+	if d.slabEnd && !d.taskDone {
+		if until := job.sched.extend(traj, task.NextIndex()); until > 0 {
+			pt.until, d.slabEnd = until, false
+		}
+	}
 	if err := emit(d); err != nil {
 		return false, err
 	}
@@ -241,46 +243,11 @@ func (p *Pool) Err() error {
 	return p.err
 }
 
-// Submit enqueues a job's n simulation tasks, built lazily by build(i) so
-// submit latency and peak memory stay O(1) in the ensemble size. It
-// returns immediately: a short-lived feeder goroutine constructs and
-// trickles the tasks into the farm (whose dispatcher buffers pending tasks
-// without bound, so feeding is quick), failing the job on a build error
-// and stopping early if the job reaches a terminal state first.
-func (p *Pool) Submit(job *Job, n int, build func(i int) (*sim.Task, error)) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.feeders.Add(1)
-	p.mu.Unlock()
-	go func() {
-		defer p.feeders.Done()
-		for i := 0; i < n; i++ {
-			t, err := build(i)
-			if err != nil {
-				job.fail(err)
-				return
-			}
-			select {
-			case p.submit <- poolTask{job: job, task: t}:
-			case <-job.ctx.Done():
-				return
-			case <-p.ctx.Done():
-				return
-			}
-		}
-	}()
-	return nil
-}
-
-// inject hands one ready task straight to the farm's dispatcher — the
-// slab path of a sharded job, which feeds the pool one short task at a
-// time and so wants no feeder goroutine per submission. The dispatcher
-// buffers pending tasks without bound and never waits on a collector or a
-// worker, so the send returns promptly from any goroutine, the collector's
-// included; on pool shutdown the task is dropped like a queued one.
+// inject hands one granted slab straight to the farm's dispatcher. The
+// dispatcher buffers pending tasks without bound and never waits on a
+// collector or a worker, so the send returns promptly from any goroutine,
+// the collector's included; on pool shutdown the task is dropped like a
+// queued one.
 func (p *Pool) inject(pt poolTask) {
 	select {
 	case p.submit <- pt:
@@ -288,40 +255,9 @@ func (p *Pool) inject(pt poolTask) {
 	}
 }
 
-// resubmit trickles previously parked tasks back into the farm's input
-// stream, from a short-lived feeder goroutine so the caller (a job's
-// windower, or a terminal transition) never blocks on the dispatcher. On
-// pool shutdown the remaining tasks are dropped, exactly like queued ones.
-func (p *Pool) resubmit(tasks []poolTask) {
-	if len(tasks) == 0 {
-		return
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.feeders.Add(1)
-	p.mu.Unlock()
-	go func() {
-		defer p.feeders.Done()
-		for _, pt := range tasks {
-			select {
-			case p.submit <- pt:
-			case <-p.ctx.Done():
-				return
-			}
-		}
-	}()
-}
-
 // Close aborts the pool: in-flight quanta finish, everything else is
 // dropped. Jobs still running should be failed by the caller first.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
 	p.cancel()
-	p.feeders.Wait()
 	<-p.done
 }

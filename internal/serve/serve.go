@@ -31,11 +31,12 @@
 //	POST   /workers/register  join the cluster / heartbeat
 //	GET    /healthz           pool and registry health
 //
-// With remote sim workers configured (Options.WorkerAddrs, or workers
-// registering dynamically), each job's trajectory quanta are sharded
-// across the cluster and the local pool by a per-job quantum scheduler
-// (see remoteJob); results merge through the same ingress/analysis path,
-// deterministically even across worker failures and requeues.
+// Every job's trajectories run under its own slab scheduler (see
+// slabSched): window-long slabs granted breadth-first from one FIFO of
+// trajectory heads to the local pool and, with remote sim workers
+// configured (Options.WorkerAddrs, or workers registering dynamically),
+// to the cluster; results merge through the same ingress/analysis path,
+// deterministically even across worker failures, requeues and restarts.
 package serve
 
 import (
@@ -57,7 +58,6 @@ import (
 	"cwcflow/internal/lease"
 	"cwcflow/internal/obs"
 	"cwcflow/internal/serve/sched"
-	"cwcflow/internal/sim"
 	"cwcflow/internal/store"
 )
 
@@ -266,8 +266,8 @@ type Options struct {
 	// of the host's core count.
 	statHook func(jobID string)
 	// slabHook, when non-nil, observes every grant, admitted delivery and
-	// parked reader of every sharded job's slab scheduler (see slabEvent),
-	// under the scheduler's mutex. Test seam.
+	// congestion-blocked reader of every job's slab scheduler (see
+	// slabEvent), under the scheduler's mutex. Test seam.
 	slabHook func(slabEvent)
 
 	// metrics is the server's metric set, created by New and threaded to
@@ -419,8 +419,9 @@ type Server struct {
 // New starts a Server (its simulation pool, stat farm and worker
 // registry) with the given options. With Options.DataDir set it opens
 // the durable job store first and recovers from it: completed jobs
-// reappear with their buffered results, and in-flight jobs resume on the
-// local pool from their last checkpoint (see package store). The only
+// reappear with their buffered results, and in-flight jobs resume from
+// their last checkpoint under their slab schedulers (see package store
+// and slabSched). The only
 // error paths are the store's (journal unreadable, directory not
 // writable); without DataDir, New cannot fail.
 func New(opts Options) (*Server, error) {
@@ -650,44 +651,14 @@ func (s *Server) submitOutcome(spec JobSpec, tenant, traceID string) (SubmitResu
 	if spec.Trajectories > s.opts.MaxTrajectories {
 		return SubmitResult{}, fmt.Errorf("serve: %d trajectories exceeds the per-job limit of %d", spec.Trajectories, s.opts.MaxTrajectories)
 	}
-	factory, err := s.opts.Resolver(core.ModelRef{Name: spec.Model, Omega: spec.Omega})
+	cfg, species, cuts, err := s.runConfig(spec)
 	if err != nil {
 		return SubmitResult{}, err
 	}
-	cfg := core.Config{
-		Factory:       factory,
-		Trajectories:  spec.Trajectories,
-		End:           spec.End,
-		Quantum:       spec.Quantum,
-		Period:        spec.Period,
-		SimWorkers:    s.pool.Workers(),
-		StatEngines:   1,
-		WindowSize:    spec.WindowSize,
-		WindowStep:    spec.WindowStep,
-		Species:       spec.Species,
-		KMeansK:       spec.KMeansK,
-		PeriodHalfWin: spec.PeriodHalfWin,
-		BaseSeed:      spec.Seed,
+	if cuts > s.opts.MaxCuts {
+		return SubmitResult{}, fmt.Errorf("serve: end/period yields %d samples per trajectory, limit is %d", cuts, s.opts.MaxCuts)
 	}
-	cfg, err = cfg.Normalized()
-	if err != nil {
-		return SubmitResult{}, err
-	}
-	// Bound the per-trajectory sample count in float64, before
-	// sim.NewTask's int conversion could overflow on extreme ratios.
-	cutsF := math.Floor(cfg.End/cfg.Period) + 1
-	if cutsF > float64(s.opts.MaxCuts) {
-		return SubmitResult{}, fmt.Errorf("serve: end/period yields %g samples per trajectory, limit is %d", cutsF, s.opts.MaxCuts)
-	}
-	sampleCost := int64(cfg.Trajectories) * int64(cutsF)
-	// ResolveSpecies probes factory(0), so model construction errors still
-	// surface synchronously as a 400 even though the full ensemble is
-	// built lazily by the pool feeder.
-	species, err := core.ResolveSpecies(cfg)
-	if err != nil {
-		return SubmitResult{}, err
-	}
-	model := core.ModelRef{Name: spec.Model, Omega: spec.Omega}
+	sampleCost := int64(cfg.Trajectories) * int64(cuts)
 
 	// Resolve the tenant's dispatch counter before taking s.mu: a first
 	// sighting registers a series under Registry.mu, and a concurrent
@@ -714,14 +685,9 @@ func (s *Server) submitOutcome(spec JobSpec, tenant, traceID string) (SubmitResu
 	}
 	s.seq++
 	id := s.jobID()
-	// Per-job cap on concurrently analysed windows: half the farm (rounded
-	// up), so a single stats-heavy tenant leaves engines for everyone else.
-	statInflight := (s.stats.Engines() + 1) / 2
-	job := newJob(id, spec, cfg, species, int(cutsF), s.opts, s.pool.Workers(), statInflight)
+	job := s.newJob(id, spec, cfg, species, cuts)
 	job.digest = digest
-	job.resubmit = s.pool.resubmit
 	job.tenant = tenant
-	job.sampleCost = sampleCost
 	job.flow = t.flow
 	job.tenantQuanta = &t.quanta
 	job.obsTenantQuanta = obsTenantQuanta
@@ -729,11 +695,6 @@ func (s *Server) submitOutcome(spec JobSpec, tenant, traceID string) (SubmitResu
 		// Adopt the client's trace id (safe here: no span has been
 		// recorded yet, and the job is not visible to anyone).
 		job.trace = obs.NewTrace(traceID, s.m.spansDropped)
-	}
-	job.onTerminal = s.jobFinished
-	job.startFn = func() { s.startJob(job, cfg, model) }
-	if s.store != nil {
-		job.initPersist(s.store, s.opts.CheckpointSamples)
 	}
 	if queued {
 		job.state = StateQueued // pre-registration: no other goroutine sees the job yet
@@ -794,42 +755,65 @@ func (s *Server) submitOutcome(spec JobSpec, tenant, traceID string) (SubmitResu
 		// launches it (via startFn) when a slot frees.
 		return SubmitResult{Job: job}, nil
 	}
-	if err := s.startJobChecked(job, cfg, model); err != nil {
-		// The pool closed between admission and scheduling: unregister
-		// the job so the error response is consistent with the registry
-		// (no ghost failed job the client was told does not exist).
+	if err := s.startJob(job); err != nil {
+		// The job's first trajectory could not be built: unregister the
+		// job so the error response is consistent with the registry (no
+		// ghost failed job the client was told does not exist).
 		s.unregister(id)
 		return SubmitResult{}, err
 	}
 	return SubmitResult{Job: job}, nil
 }
 
-// startJob launches an admitted job: its windower goroutine, then either
-// the remote quantum scheduler (live cluster workers) or the local pool.
-// Failures land on the job itself — used by the queue-dispatch path,
-// where there is no submitter left to return an error to.
-func (s *Server) startJob(job *Job, cfg core.Config, model core.ModelRef) {
-	if err := s.startJobChecked(job, cfg, model); err != nil {
-		_ = err // startJobChecked already failed the job
+// runConfig derives a job's run from its spec: the resolved model in a
+// normalized core.Config, the analysed species, and the samples per
+// trajectory, floor(End/Period)+1 — computed in float64 and saturated, so
+// an extreme ratio cannot overflow the int before the caller bounds it.
+// ResolveSpecies probes factory(0), so model construction errors surface
+// here, synchronously — as a 400 on submission.
+func (s *Server) runConfig(spec JobSpec) (cfg core.Config, species []int, cuts int, err error) {
+	factory, err := s.opts.Resolver(core.ModelRef{Name: spec.Model, Omega: spec.Omega})
+	if err != nil {
+		return cfg, nil, 0, err
 	}
+	cfg, err = core.Config{
+		Factory:       factory,
+		Trajectories:  spec.Trajectories,
+		End:           spec.End,
+		Quantum:       spec.Quantum,
+		Period:        spec.Period,
+		SimWorkers:    s.pool.Workers(),
+		StatEngines:   1,
+		WindowSize:    spec.WindowSize,
+		WindowStep:    spec.WindowStep,
+		Species:       spec.Species,
+		KMeansK:       spec.KMeansK,
+		PeriodHalfWin: spec.PeriodHalfWin,
+		BaseSeed:      spec.Seed,
+	}.Normalized()
+	if err != nil {
+		return cfg, nil, 0, err
+	}
+	cuts = math.MaxInt
+	if f := math.Floor(cfg.End/cfg.Period) + 1; f < math.MaxInt {
+		cuts = int(f)
+	}
+	species, err = core.ResolveSpecies(cfg)
+	return cfg, species, cuts, err
 }
 
-// startJobChecked is startJob returning the scheduling error (the direct
-// submission path propagates it to the client after unregistering).
-func (s *Server) startJobChecked(job *Job, cfg core.Config, model core.ModelRef) error {
+// startJob launches an admitted job, submitted or recovered: its slab
+// scheduler connects to the live workers, then the windower starts and
+// makes the first grant. An error — the first trajectory could not be
+// built — has already failed the job.
+func (s *Server) startJob(job *Job) error {
 	job.trace.Event("dispatch", job.origin, "")
-	go job.runWindower(s.stats)
-	// Remote sharding first: with live cluster workers the quantum
-	// scheduler owns the submission (mixing remote streams and the local
-	// pool); otherwise everything goes to the local pool as before.
-	if s.startRemote(job, cfg, model) {
-		return nil
-	}
-	build := func(i int) (*sim.Task, error) { return core.NewTrajectoryTask(cfg, i) }
-	if err := s.pool.Submit(job, cfg.Trajectories, build); err != nil {
+	if err := job.sched.start(); err != nil {
+		err = fmt.Errorf("serve: building trajectory 0: %w", err)
 		job.fail(err)
 		return err
 	}
+	go job.runWindower(s.stats)
 	return nil
 }
 

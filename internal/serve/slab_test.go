@@ -13,6 +13,7 @@ import (
 	"cwcflow/internal/core"
 	"cwcflow/internal/dff"
 	"cwcflow/internal/sim"
+	"cwcflow/internal/store"
 )
 
 // stepGate meters a worker's SSA steps: budget steps pass, then every
@@ -131,7 +132,7 @@ func startGatedWorker(t *testing.T, simWorkers int, budget int64) *gatedWorker {
 	return w
 }
 
-// slabLog records a sharded job's slab events (Options.slabHook), each
+// slabLog records a job's slab events (Options.slabHook), each
 // with the frontier's extent over unfinished trajectories at that moment,
 // and lets a test wait for a condition over them without polling.
 type slabLog struct {
@@ -245,72 +246,113 @@ func slabSpec() JobSpec {
 	return JobSpec{Model: "neurospora", Omega: 20, Trajectories: 8, End: 24, Period: 0.5, WindowSize: 8, Seed: 11}
 }
 
-// TestSlabSkewBoundedByTwoWindows is the breadth-first property: with a
-// worker that accepts its slabs and then freezes, the rest of the ensemble
-// advances exactly two windows and waits — no trajectory passes sample
-// 2×WindowSize until every trajectory has delivered window 0 — and at every
-// admitted delivery of the whole job the frontier's extent over unfinished
-// trajectories is at most two windows.
+// gatedTrajectory0 resolves the built-in models with trajectory 0's engine
+// behind gate.
+func gatedTrajectory0(gate *stepGate) func(core.ModelRef) (core.SimulatorFactory, error) {
+	return func(ref core.ModelRef) (core.SimulatorFactory, error) {
+		f, err := core.FactoryFor(ref)
+		if err != nil {
+			return nil, err
+		}
+		return func(traj int, seed int64) (sim.Simulator, error) {
+			s, err := f(traj, seed)
+			if err != nil || traj != 0 {
+				return s, err
+			}
+			return &gatedSim{SnapshotSimulator: s.(sim.SnapshotSimulator), gate: gate}, nil
+		}, nil
+	}
+}
+
+// TestSlabSkewBoundedByTwoWindows is the breadth-first property: with some
+// trajectories frozen at sample 0 — held by a worker that accepts its
+// slabs and then freezes, or, with no worker at all, by an engine that
+// freezes on the local pool — the rest of the ensemble advances exactly
+// two windows and waits: no trajectory passes sample 2×WindowSize until
+// every trajectory has delivered window 0, and at every admitted delivery
+// of the whole job the frontier's extent over unfinished trajectories is
+// at most two windows.
 func TestSlabSkewBoundedByTwoWindows(t *testing.T) {
 	spec := slabSpec()
-	const held, w = 2, 8 // slabs the frozen worker holds; window size
+	const w = 8 // window size
 	want := localDigest(t, spec)
 
-	frozen := startGatedWorker(t, 1, 0)
-	log := newSlabLog(spec.Trajectories)
-	svc, err := New(Options{Workers: 2, WorkerAddrs: []string{frozen.addr}, WorkerInFlight: held, slabHook: log.hook})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	// Everything the frozen worker does not hold ends up two windows in
-	// (or, were the gate broken, beyond — the check below then says so).
-	stalled := log.when(func(l *slabLog, e loggedSlab) bool {
-		n := 0
-		for _, next := range l.front {
-			if next == 2*w {
-				n++
+	for _, tc := range []struct {
+		name   string
+		remote bool
+	}{
+		{name: "remote", remote: true},
+		{name: "local"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := newSlabLog(spec.Trajectories)
+			opts := Options{Workers: 2, slabHook: log.hook}
+			var gate *stepGate
+			var held int // trajectories frozen at sample 0
+			if tc.remote {
+				frozen := startGatedWorker(t, 1, 0)
+				gate, held = frozen.gate, 2
+				opts.WorkerAddrs, opts.WorkerInFlight = []string{frozen.addr}, held
+			} else {
+				gate, held = newStepGate(0), 1
+				opts.Resolver = gatedTrajectory0(gate)
 			}
-		}
-		return n == spec.Trajectories-held || e.hi > 2*w
-	})
-	j, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	await(t, stalled, "the free trajectories to reach two windows")
-	for _, e := range log.snapshot() {
-		if e.kind == "accept" && (e.hi > 2*w || e.lo != 0) {
-			t.Fatalf("with %d trajectories frozen at 0, saw frontier extent [%d,%d]", held, e.lo, e.hi)
-		}
-	}
-	if st := j.Status(); st.Progress.Windows != 0 || st.Progress.TasksDone != 0 {
-		t.Fatalf("windows published with trajectories still at sample 0: %+v", st.Progress)
-	}
+			svc, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(svc.Close)
+			t.Cleanup(gate.open) // first: a frozen pool worker would hold up Close
+			// Everything not held ends up two windows in (or, were the gate
+			// broken, beyond — the check below then says so).
+			stalled := log.when(func(l *slabLog, e loggedSlab) bool {
+				n := 0
+				for _, next := range l.front {
+					if next == 2*w {
+						n++
+					}
+				}
+				return n == spec.Trajectories-held || e.hi > 2*w
+			})
+			j, err := svc.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			await(t, stalled, "the free trajectories to reach two windows")
+			for _, e := range log.snapshot() {
+				if e.kind == "accept" && (e.hi > 2*w || e.lo != 0) {
+					t.Fatalf("with %d trajectories frozen at 0, saw frontier extent [%d,%d]", held, e.lo, e.hi)
+				}
+			}
+			if st := j.Status(); st.Progress.Windows != 0 || st.Progress.TasksDone != 0 {
+				t.Fatalf("windows published with trajectories still at sample 0: %+v", st.Progress)
+			}
 
-	frozen.gate.open()
-	await(t, j.Done(), "the job after thawing the worker")
-	if st := j.Status(); st.State != StateDone || st.Progress.RequeuedTasks != 0 {
-		t.Fatalf("job ended %s (%s), %d requeues", st.State, st.Error, st.Progress.RequeuedTasks)
-	}
-	if got := jobDigest(t, j); got != want {
-		t.Fatalf("digest %s != single-process %s", got, want)
-	}
-	accepts := 0
-	for _, e := range log.snapshot() {
-		if e.kind != "accept" {
-			continue
-		}
-		accepts++
-		if e.hi-e.lo > 2*w {
-			t.Fatalf("trajectory %d accepted [%d,%d) with frontier extent [%d,%d]: skew over two windows", e.traj, e.start, e.end, e.lo, e.hi)
-		}
-		if e.hi > 2*w && e.lo < w {
-			t.Fatalf("a trajectory passed sample %d while another was still at %d: window 0 incomplete", e.hi, e.lo)
-		}
-	}
-	if accepts == 0 {
-		t.Fatal("the slab hook saw no deliveries")
+			gate.open()
+			await(t, j.Done(), "the job after thawing the frozen trajectories")
+			if st := j.Status(); st.State != StateDone || st.Progress.RequeuedTasks != 0 {
+				t.Fatalf("job ended %s (%s), %d requeues", st.State, st.Error, st.Progress.RequeuedTasks)
+			}
+			if got := jobDigest(t, j); got != want {
+				t.Fatalf("digest %s != single-process %s", got, want)
+			}
+			accepts := 0
+			for _, e := range log.snapshot() {
+				if e.kind != "accept" {
+					continue
+				}
+				accepts++
+				if e.hi-e.lo > 2*w {
+					t.Fatalf("trajectory %d accepted [%d,%d) with frontier extent [%d,%d]: skew over two windows", e.traj, e.start, e.end, e.lo, e.hi)
+				}
+				if e.hi > 2*w && e.lo < w {
+					t.Fatalf("a trajectory passed sample %d while another was still at %d: window 0 incomplete", e.hi, e.lo)
+				}
+			}
+			if accepts == 0 {
+				t.Fatal("the slab hook saw no deliveries")
+			}
+		})
 	}
 }
 
@@ -364,39 +406,126 @@ func TestKilledWorkerCostsOnlyItsSlabs(t *testing.T) {
 }
 
 // TestCongestedIngressParksReaderWithoutPolling: with the job's analysis
-// blocked, remote results pile up to the ingress high-water mark and the
-// connection's reader parks on the scheduler's condition variable; the
-// windower's low-water kick — not a timer — resumes it, and the digest is
-// unchanged.
+// blocked, results pile up to the ingress high-water mark and the
+// scheduler stops granting: a remote connection's reader parks on the
+// scheduler's condition variable, and a local slab already granted ends
+// without running. The windower's low-water kick — not a timer; a local
+// job has none — resumes both, and the digest is unchanged.
 func TestCongestedIngressParksReaderWithoutPolling(t *testing.T) {
 	spec := slabSpec()
 	want := localDigest(t, spec)
 
-	worker := startGatedWorker(t, 2, -1)
-	log := newSlabLog(spec.Trajectories)
-	release := make(chan struct{})
-	svc, err := New(Options{
-		Workers: 1, StatEngines: 1, SampleBuffer: 2,
-		WorkerAddrs: []string{worker.addr}, WorkerInFlight: 8,
-		slabHook: log.hook,
-		statHook: func(string) { <-release },
-	})
+	for _, tc := range []struct {
+		name   string
+		remote bool
+	}{
+		{name: "remote", remote: true},
+		{name: "local"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := newSlabLog(spec.Trajectories)
+			release := make(chan struct{})
+			opts := Options{
+				Workers: 1, StatEngines: 1, SampleBuffer: 2,
+				slabHook: log.hook,
+				statHook: func(string) { <-release },
+			}
+			if tc.remote {
+				worker := startGatedWorker(t, 2, -1)
+				opts.WorkerAddrs, opts.WorkerInFlight = []string{worker.addr}, 8
+			}
+			svc, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			parked := log.when(func(_ *slabLog, e loggedSlab) bool { return e.kind == "park" })
+			j, err := svc.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.remote {
+				await(t, parked, "a reader to park on the congested ingress")
+			} else {
+				deadline := time.Now().Add(30 * time.Second)
+				for j.deferred.Load() == 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("no local slab ended unrun on the congested ingress")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			close(release)
+			await(t, j.Done(), "the job after analysis resumed")
+			if st := j.Status(); st.State != StateDone || st.Progress.SpilledBatches != 0 {
+				t.Fatalf("job ended %s (%s), %d spilled", st.State, st.Error, st.Progress.SpilledBatches)
+			}
+			if got := jobDigest(t, j); got != want {
+				t.Fatalf("digest %s != single-process %s", got, want)
+			}
+		})
+	}
+}
+
+// TestResumeAtLastSampleFinishesOnWorker: a job that crashed after
+// journaling its last window but before its terminal record recovers with
+// every trajectory's frontier at its end. The slabs the scheduler then
+// sends to a worker add no sample, but their completions must still count:
+// the job finishes done, on the worker, with the uninterrupted digest.
+func TestResumeAtLastSampleFinishesOnWorker(t *testing.T) {
+	spec := slabSpec()
+	ref, err := New(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	rj, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	await(t, rj.Done(), "the reference job")
+	want := jobDigest(t, rj)
+	windows, _ := rj.resultsSnapshot()
+
+	// The crash image: the submission and every window, no terminal record.
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendSubmit(id, time.Now(), specJSON, DefaultTenant); err != nil {
+		t.Fatal(err)
+	}
+	for i := range windows {
+		if err := st.AppendWindow(id, i, &windows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	worker := startGatedWorker(t, 1, -1)
+	// No watchdog rescue within the test: a dropped completion would hang.
+	svc, err := New(Options{Workers: 1, DataDir: dir, WorkerAddrs: []string{worker.addr}, WorkerTimeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	parked := log.when(func(_ *slabLog, e loggedSlab) bool { return e.kind == "park" })
-	j, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	j, ok := svc.Get(id)
+	if !ok {
+		t.Fatalf("job %s not recovered", id)
 	}
-	await(t, parked, "a reader to park on the congested ingress")
-	close(release)
-	await(t, j.Done(), "the job after analysis resumed")
-	if st := j.Status(); st.State != StateDone || st.Progress.SpilledBatches != 0 {
-		t.Fatalf("job ended %s (%s), %d spilled", st.State, st.Error, st.Progress.SpilledBatches)
+	await(t, j.Done(), "the recovered job")
+	if st := j.Status(); st.State != StateDone || st.Progress.RemoteTasksDone == 0 {
+		t.Fatalf("recovered job ended %s (%s) with %d trajectories finished remotely, want done with some", st.State, st.Error, st.Progress.RemoteTasksDone)
 	}
 	if got := jobDigest(t, j); got != want {
-		t.Fatalf("digest %s != single-process %s", got, want)
+		t.Fatalf("digest %s != uninterrupted %s", got, want)
 	}
 }
