@@ -11,11 +11,14 @@ package cwcflow_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
+	"time"
 
 	"cwcflow/internal/bench"
 	"cwcflow/internal/core"
 	"cwcflow/internal/gpu"
+	"cwcflow/internal/serve"
 )
 
 // scale keeps the benchmark wall-clock reasonable while preserving every
@@ -171,6 +174,78 @@ func BenchmarkPipelineGPUOffload(b *testing.B) {
 		util = ginfo.Utilization
 	}
 	b.ReportMetric(util*100, "simt_util_%")
+}
+
+// BenchmarkRunAgainstService runs one spec (neurospora ω 100, 64
+// trajectories, end 48, 2 simulation workers, 2 stat engines) through
+// core.Run and through an in-process serve.Server followed with Job.Follow,
+// alternating which goes first, and reports their wall times and the
+// run/service ratio: how close the batch pipeline comes to the service's
+// speed on the same cores. The two must display equal windows. Reported,
+// not gated: a wall-time ratio on a small shared box is too noisy.
+func BenchmarkRunAgainstService(b *testing.B) {
+	const trajectories, end, period, window, seed = 64, 48, 0.5, 16, 1
+	factory, err := core.FactoryFor(core.ModelRef{Name: "neurospora", Omega: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{Factory: factory, Trajectories: trajectories, End: end, Period: period,
+		WindowSize: window, SimWorkers: 2, StatEngines: 2, BaseSeed: seed}
+	spec := serve.JobSpec{Model: "neurospora", Omega: 100, Trajectories: trajectories, End: end,
+		Period: period, WindowSize: window, Seed: seed}
+	svc, err := serve.New(serve.Options{Workers: 2, StatEngines: 2, NoCache: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	run := func() (ws []core.WindowStat) {
+		if _, err := core.Run(context.Background(), cfg, func(w core.WindowStat) error {
+			ws = append(ws, w)
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		return ws
+	}
+	service := func() (ws []core.WindowStat) {
+		job, err := svc.Submit(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := job.Follow(context.Background(), 0, nil, func(w core.WindowStat) error {
+			ws = append(ws, w)
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		return ws
+	}
+	timed := func(f func() []core.WindowStat) ([]core.WindowStat, time.Duration) {
+		start := time.Now()
+		ws := f()
+		return ws, time.Since(start)
+	}
+	var runTime, serviceTime time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var runWS, serviceWS []core.WindowStat
+		var rt, st time.Duration
+		if i%2 == 0 {
+			runWS, rt = timed(run)
+			serviceWS, st = timed(service)
+		} else {
+			serviceWS, st = timed(service)
+			runWS, rt = timed(run)
+		}
+		if i == 0 && !reflect.DeepEqual(runWS, serviceWS) {
+			b.Fatal("core.Run and the service displayed different windows")
+		}
+		runTime += rt
+		serviceTime += st
+	}
+	b.ReportMetric(runTime.Seconds()*1e3/float64(b.N), "run_ms")
+	b.ReportMetric(serviceTime.Seconds()*1e3/float64(b.N), "service_ms")
+	b.ReportMetric(runTime.Seconds()/serviceTime.Seconds(), "run/service")
 }
 
 func report(b *testing.B, e *bench.Experiment, label string, x float64, metric string) {

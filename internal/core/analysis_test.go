@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cwcflow/internal/gpu"
+	"cwcflow/internal/sim"
 )
 
 // goldenConfig is the spec of the full-window golden digests: sliding
@@ -95,35 +96,56 @@ func TestRunGoldenWindowDigest(t *testing.T) {
 }
 
 // TestRunClosesItsStatFarm ends a run from inside display, by an error and
-// by cancelling its context, and checks that Run returns that error and
-// leaves no goroutine of its stat farm or pipeline behind.
+// by cancelling its context, from the simulation stage's collector by a
+// raw-sample tap error, and by finishing it, and checks that Run returns
+// that error and leaves no goroutine of its stat farm, its simulation farm
+// or its pipeline behind.
 func TestRunClosesItsStatFarm(t *testing.T) {
 	boom := errors.New("display boom")
+	tapBoom := errors.New("raw sink boom")
+	none := func(context.CancelFunc, int) error { return nil }
 	cases := []struct {
 		name string
 		// display is called with the run's cancel and the index of the
 		// window it is shown.
 		display func(cancel context.CancelFunc, i int) error
-		want    error
+		// raw, when non-nil, is the run's RawSink, called with the index of
+		// the sample it is shown.
+		raw  func(i int) error
+		want error
 	}{
 		{"display-error", func(_ context.CancelFunc, i int) error {
 			if i == 2 {
 				return boom
 			}
 			return nil
-		}, boom},
+		}, nil, boom},
 		{"cancel", func(cancel context.CancelFunc, i int) error {
 			if i == 2 {
 				cancel()
 			}
 			return nil
-		}, context.Canceled},
+		}, nil, context.Canceled},
+		{"raw-sink-error", none, func(i int) error {
+			if i == 100 {
+				return tapBoom
+			}
+			return nil
+		}, tapBoom},
+		{"complete", none, nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig()
 			cfg.StatEngines = 4
 			cfg.WindowStep = 1 // many windows, so the run is mid-stream at window 2
+			if tc.raw != nil {
+				n := 0
+				cfg.RawSink = func(sim.Sample) error {
+					n++
+					return tc.raw(n - 1)
+				}
+			}
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(t.Context())
 			defer cancel()

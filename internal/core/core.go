@@ -3,7 +3,7 @@
 //
 //	generation of simulation tasks
 //	  → farm of simulation engines (on-demand scheduling, feedback
-//	    rescheduling of incomplete tasks after every simulation quantum)
+//	    rescheduling of incomplete tasks after every slice of quanta)
 //	  → alignment of trajectories (samples → time cuts)
 //	  → generation of sliding windows of trajectory cuts
 //	  → farm of statistical engines (mean / variance / quantiles /
@@ -11,10 +11,10 @@
 //	  → display of results (user sink, e.g. CSV writer)
 //
 // The first two stages are the simulation stage, and only they change
-// between deployments: Run feeds an ff.FarmFeedback of engines, RunGPU a
-// simulated SIMT device, and the serve package a shared pool and remote
-// workers. The rest is one type, Analysis, with its StatFarm; all three
-// drive it. Everything runs concurrently: statistics stream out while
+// between deployments: Run opens a SimFarm of engines, RunGPU drives a
+// simulated SIMT device, and the serve package keeps one shared SimFarm
+// and sends slabs to remote workers, each of which runs a SimFarm too. The
+// rest is one type, Analysis, with its StatFarm; all three drive it. Everything runs concurrently: statistics stream out while
 // simulations are still running, which is the point of the paper's
 // on-line design.
 package core
@@ -24,10 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"cwcflow/internal/ff"
 	"cwcflow/internal/sim"
 	"cwcflow/internal/stats"
 	"cwcflow/internal/window"
@@ -169,80 +167,94 @@ func Run(ctx context.Context, cfg Config, display func(WindowStat) error) (RunIn
 		return RunInfo{Trajectories: cfg.Trajectories}, err
 	}
 
-	var samples atomic.Int64
-	var reactions atomic.Uint64
-	var dead atomic.Int64
-
-	// Stage 1: generation of simulation tasks.
-	source := ff.Source[*sim.Task](func(_ context.Context, emit ff.Emit[*sim.Task]) error {
-		for i := 0; i < cfg.Trajectories; i++ {
-			task, err := NewTrajectoryTask(cfg, i)
-			if err != nil {
-				return err
-			}
-			if err := emit(task); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	// Stage 2: farm of simulation engines with feedback rescheduling. Each
-	// quantum's samples travel as one pooled batch (a single arena-backed
-	// message per quantum instead of one allocation per sample); the
-	// alignment stage copies the states into cut storage and recycles the
-	// batch.
-	simFarm := ff.NewFarmFeedback(cfg.SimWorkers, func(int) ff.FeedbackWorker[*sim.Task, *sim.Batch] {
-		// fb is this worker's reusable feedback cell: the farm reads *fb
-		// before the next DoStep, so one heap cell per worker replaces a
-		// per-quantum allocation.
-		var fb *sim.Task
-		return ff.FeedbackWorkerFunc[*sim.Task, *sim.Batch](func(_ context.Context, task *sim.Task, emit ff.Emit[*sim.Batch]) (**sim.Task, error) {
-			b := sim.GetBatch()
-			if err := task.RunQuantumBatch(b); err != nil {
-				b.Release()
-				return nil, err
-			}
-			samples.Add(int64(len(b.Samples)))
-			if len(b.Samples) == 0 {
-				b.Release()
-			} else if err := emit(b); err != nil {
-				return nil, err
-			}
-			if task.Done() {
-				reactions.Add(task.Steps())
-				if task.Dead() {
-					dead.Add(1)
-				}
-				return nil, nil
-			}
-			fb = task
-			return &fb, nil
-		})
-	})
-
-	// Stages 3–6: the sequential sink behind the sim farm taps the raw
-	// samples and pushes each batch into the run's Analysis.
-	info, err := analyse(ctx, cfg, species, display, func(ctx context.Context, push func(*sim.Batch) error) error {
-		return ff.Run(ctx, source, simFarm, func(b *sim.Batch) error {
-			if cfg.RawSink != nil {
-				for _, s := range b.Samples {
-					if err := cfg.RawSink(s); err != nil {
-						b.Release()
-						return err
-					}
-				}
-			}
-			return push(b)
-		})
-	})
+	run := &runSlabs{cfg: cfg, left: cfg.Trajectories, done: make(chan struct{})}
+	info, err := analyse(ctx, cfg, species, display, run.feed)
 	if err != nil {
 		return info, err
 	}
-	info.Samples = samples.Load()
-	info.Reactions = reactions.Load()
-	info.DeadTasks = int(dead.Load())
+	info.Samples, info.Reactions, info.DeadTasks = run.samples, run.reactions, run.dead
 	return info, nil
+}
+
+// runSlabs is the SlabOwner of one Run: its Deliver is the run's raw
+// sample tap and the windower of its Analysis. The counters and err are
+// the collector's, read once done is closed or the farm is.
+type runSlabs struct {
+	cfg       Config
+	push      func(*sim.Batch) error
+	left      int // trajectories not yet done
+	samples   int64
+	reactions uint64
+	dead      int
+	err       error
+	done      chan struct{} // closed when left reaches 0 or Deliver fails
+}
+
+// feed is the simulation stage of one Run: a SimFarm of cfg.SimWorkers
+// engines, opened here and closed on every return path, runs every
+// trajectory to its end in window-long slices, breadth-first.
+func (r *runSlabs) feed(ctx context.Context, push func(*sim.Batch) error) error {
+	r.push = push
+	farm := NewSimFarm(r.cfg.SimWorkers, 1, nil, SliceBudget{})
+	defer farm.Close()
+	for i := 0; i < r.cfg.Trajectories; i++ {
+		task, err := NewTrajectoryTask(r.cfg, i)
+		if err != nil {
+			return err
+		}
+		farm.Inject(SimSlab{Owner: r, Task: task, Window: r.cfg.WindowSize})
+	}
+	select {
+	case <-r.done:
+		return r.err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Admit runs every slice: a Run ends only by returning.
+func (r *runSlabs) Admit(*SimSlab, *Slice) bool { return true }
+
+// AfterSlice leaves every slab to run to its trajectory's end.
+func (r *runSlabs) AfterSlice(*SimSlab, *Slice) {}
+
+// Deliver taps the slice's raw samples, pushes them into the Analysis and
+// counts finished trajectories.
+func (r *runSlabs) Deliver(sl Slice) error {
+	if sl.Err != nil {
+		return r.fail(sl.Err)
+	}
+	if b := sl.Batch; b != nil {
+		r.samples += int64(len(b.Samples))
+		if r.cfg.RawSink != nil {
+			for _, s := range b.Samples {
+				if err := r.cfg.RawSink(s); err != nil {
+					b.Release()
+					return r.fail(err)
+				}
+			}
+		}
+		if err := r.push(b); err != nil {
+			return r.fail(err)
+		}
+	}
+	if sl.TaskDone {
+		r.reactions += sl.Steps
+		if sl.Dead {
+			r.dead++
+		}
+		if r.left--; r.left == 0 {
+			close(r.done)
+		}
+	}
+	return nil
+}
+
+// fail ends the run at its first error; the farm stops with Deliver's.
+func (r *runSlabs) fail(err error) error {
+	r.err = err
+	close(r.done)
+	return err
 }
 
 // analyse runs the Analysis of one Run or RunGPU: feed pushes the run's

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"cwcflow/internal/cwc"
 	"cwcflow/internal/dff"
-	"cwcflow/internal/ff"
 	"cwcflow/internal/gillespie"
 	"cwcflow/internal/models"
 	"cwcflow/internal/obs"
@@ -95,9 +95,10 @@ type JobHeader struct {
 	Period   float64
 	BaseSeed int64
 	// Slab is the most samples one ResultMsg carries (one window of cuts,
-	// usually): a slab longer than this streams home in Slab-sized
-	// messages, the trajectory re-entering the worker's feedback queue in
-	// between so its siblings advance breadth-first. Values below 1 mean 1.
+	// usually): a slab longer than this streams home in messages that end
+	// at multiples of Slab, the trajectory re-entering the worker's
+	// feedback queue in between so its siblings advance breadth-first.
+	// Values below 1 mean 1.
 	Slab int
 	// TraceID, when non-empty, is the master job's trace id: the worker
 	// records its per-job spans under it and ships them home in the
@@ -217,28 +218,11 @@ func ServeSimWorkerOpts(ctx context.Context, l net.Listener, opts SimWorkerOptio
 	}, opts.OnError)
 }
 
-// slab is one WorkerMsg riding the worker's farm. task is bound on the
-// slab's first visit to a farm worker and travels with it through the
-// feedback queue until the slab's last message is out.
-type slab struct {
-	traj  int
-	snap  []byte
-	until int
-	task  *sim.Task
-}
-
-// slabResult is one stretch of a slab inside the worker process, on its way
-// from the farm to the connection's collector (which serialises it as a
-// ResultMsg and recycles the batch).
-type slabResult struct {
-	msg   ResultMsg
-	batch *sim.Batch
-}
-
 func handleJob(ctx context.Context, conn net.Conn, opts SimWorkerOptions) error {
+	// A stopped server ends its jobs: the closed stream ends every read.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 	in := dff.NewReader[WorkerMsg](conn)
-	out := dff.NewWriter[ResultMsg](conn)
-
 	first, ok, err := in.Recv()
 	if err != nil {
 		return err
@@ -255,128 +239,60 @@ func handleJob(ctx context.Context, conn net.Conn, opts SimWorkerOptions) error 
 	defer opts.Metrics.Jobs.Dec()
 	streamStart := time.Now()
 
-	var reactions atomic.Uint64
-	var deadTasks atomic.Int64
-	var tasks atomic.Int64
-
 	// The worker-side structure is the same simulation farm as the
 	// shared-memory version; only the endpoints differ (dff streams
-	// instead of channels) and the feedback unit is a message's worth of
-	// samples instead of a quantum. A slab no longer than hdr.Slab never
-	// feeds back: the farm is then a plain farm of pure functions.
-	source := ff.Source[*slab](func(ctx context.Context, emit ff.Emit[*slab]) error {
-		for {
-			msg, ok, err := in.Recv()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if msg.Header != nil {
-				return errors.New("core: duplicate job header")
-			}
-			if err := emit(&slab{traj: msg.Traj, snap: msg.Snap, until: msg.Until}); err != nil {
-				return err
+	// instead of channels) and a slice is one message's worth of samples.
+	// A slab no longer than hdr.Slab never feeds back: the farm is then a
+	// plain farm of pure functions.
+	w := &workerSlabs{
+		cfg:     Config{Factory: factory, End: hdr.End, Quantum: hdr.Quantum, Period: hdr.Period, BaseSeed: hdr.BaseSeed},
+		out:     dff.NewWriter[ResultMsg](conn),
+		metrics: opts.Metrics,
+		spares:  make(chan *sim.Task, max(opts.SimWorkers, 1)),
+		idle:    make(chan struct{}),
+		failed:  make(chan struct{}),
+	}
+	farm := NewSimFarm(opts.SimWorkers, 1, nil, SliceBudget{})
+	defer farm.Close()
+	for {
+		msg, ok, err := in.Recv()
+		if err != nil {
+			return err
+		}
+		select {
+		case <-w.failed:
+			return w.err
+		default:
+		}
+		if !ok {
+			break
+		}
+		if msg.Header != nil {
+			return errors.New("core: duplicate job header")
+		}
+		// A snapshot restores into the engine of a slab that left the
+		// farm instead of building one.
+		var spare *sim.Task
+		if msg.Snap != nil {
+			select {
+			case spare = <-w.spares:
+			default:
 			}
 		}
-	})
-	farm := ff.NewFarmFeedback(opts.SimWorkers, func(int) ff.FeedbackWorker[*slab, slabResult] {
-		var fb *slab // per-worker feedback cell, read before the next DoStep
-		// spare is the task (engine included) the last slab left behind:
-		// the next snapshot-carrying slab restores into it instead of
-		// building an engine.
-		var spare *sim.Task
-		return ff.FeedbackWorkerFunc[*slab, slabResult](func(_ context.Context, s *slab, emit ff.Emit[slabResult]) (**slab, error) {
-			if s.task == nil {
-				if s.snap != nil && spare != nil {
-					s.task, spare = spare, nil
-					s.task.Traj = s.traj
-				} else {
-					eng, err := factory(s.traj, hdr.BaseSeed+int64(s.traj))
-					if err != nil {
-						return nil, err
-					}
-					if s.task, err = sim.NewTask(s.traj, eng, hdr.End, hdr.Quantum, hdr.Period); err != nil {
-						return nil, err
-					}
-				}
-				if s.snap != nil {
-					if err := s.task.Restore(s.snap); err != nil {
-						return nil, fmt.Errorf("core: trajectory %d: %w", s.traj, err)
-					}
-					s.snap = nil
-				}
-				if s.until <= 0 || s.until > s.task.NumSamples() {
-					s.until = s.task.NumSamples()
-				}
-			}
-			t := s.task
-			r := slabResult{msg: ResultMsg{Traj: s.traj, Start: t.NextIndex()}, batch: sim.GetBatch()}
-			stop := min(s.until, t.NextIndex()+max(hdr.Slab, 1))
-			stepsBefore := t.Steps()
-			begin := time.Now()
-			for !t.Done() && t.NextIndex() < stop {
-				if err := t.RunQuantumBatch(r.batch); err != nil {
-					r.batch.Release()
-					return nil, err
-				}
-				r.msg.Quanta++
-			}
-			elapsed := time.Since(begin)
-			r.msg.ElapsedNs = int64(elapsed)
-			if r.msg.Quanta > 0 {
-				opts.Metrics.Quantum.ObserveN(elapsed/time.Duration(r.msg.Quanta), r.msg.Quanta)
-			}
-			reactions.Add(t.Steps() - stepsBefore)
-			switch {
-			case t.Done():
-				r.msg.TaskDone, r.msg.Dead, r.msg.Steps = true, t.Dead(), t.Steps()
-				tasks.Add(1)
-				opts.Metrics.Tasks.Inc()
-				if t.Dead() {
-					deadTasks.Add(1)
-				}
-			case t.NextIndex() >= s.until:
-				snap, ok, err := t.Snapshot()
-				if err != nil {
-					r.batch.Release()
-					return nil, err
-				}
-				if !ok {
-					// The engine cannot hand its state back: the
-					// trajectory stays here to its end.
-					s.until = t.NumSamples()
-				}
-				r.msg.Snap = snap
-			}
-			if err := emit(r); err != nil {
-				return nil, err
-			}
-			if r.msg.TaskDone || r.msg.Snap != nil {
-				spare, s.task = t, nil
-				return nil, nil
-			}
-			fb = s
-			return &fb, nil
-		})
-	})
-	err = ff.Run(ctx, source, ff.Node[*slab, slabResult](farm), func(r slabResult) error {
-		// The samples alias the batch arena; gob copies them during Encode,
-		// so the batch recycles the moment Send returns.
-		r.msg.Samples = r.batch.Samples
-		err := out.Send(r.msg)
-		r.batch.Release()
-		return err
-	})
-	if err != nil {
-		return err
+		task, err := BuildTask(w.cfg, msg.Traj, msg.Snap, spare)
+		if err != nil {
+			return err
+		}
+		w.settle(1, false)
+		farm.Inject(SimSlab{Owner: w, Task: task, Until: msg.Until, Window: max(hdr.Slab, 1)})
 	}
-	trailer := WorkerTrailer{
-		Reactions: reactions.Load(),
-		DeadTasks: int(deadTasks.Load()),
-		Tasks:     int(tasks.Load()),
+	w.settle(0, true)
+	select {
+	case <-w.idle:
+	case <-w.failed:
+		return w.err
 	}
+	trailer := WorkerTrailer{Reactions: w.reactions, DeadTasks: w.dead, Tasks: w.tasks}
 	if hdr.TraceID != "" {
 		// One lifecycle span per worker stream, not per slab: it rides the
 		// trailer home and merges into the owning job's trace.
@@ -389,8 +305,120 @@ func handleJob(ctx context.Context, conn net.Conn, opts SimWorkerOptions) error 
 			Detail: fmt.Sprintf("tasks=%d reactions=%d", trailer.Tasks, trailer.Reactions),
 		}}
 	}
-	if err := out.Send(ResultMsg{Trailer: &trailer}); err != nil {
+	if err := w.out.Send(ResultMsg{Trailer: &trailer}); err != nil {
 		return err
 	}
-	return out.Close()
+	return w.out.Close()
+}
+
+// workerSlabs is the SlabOwner of one worker job connection: every slice
+// becomes one ResultMsg, and a slab that stops at its Until ends with the
+// engine snapshot the next slab resumes from. The trailer counts are the
+// collector's, read once idle is closed.
+type workerSlabs struct {
+	cfg     Config
+	out     *dff.Writer[ResultMsg]
+	metrics WorkerMetrics
+	// spares holds tasks whose slabs have left the farm, engines included,
+	// for the next snapshot-carrying slab to restore into: one per farm
+	// worker, the most slabs that run at once.
+	spares chan *sim.Task
+
+	reactions uint64
+	dead      int
+	tasks     int
+
+	mu     sync.Mutex
+	open   int           // slabs in the farm
+	eof    bool          // the master sent its last slab
+	idle   chan struct{} // closed once eof and no slab is left
+	failed chan struct{} // closed with err by the first failed Deliver
+	err    error
+}
+
+// settle counts delta more slabs in the farm, notes the end of the slab
+// stream, and closes idle once that has come and no slab is left.
+func (w *workerSlabs) settle(delta int, eof bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.open += delta
+	w.eof = w.eof || eof
+	if w.eof && w.open == 0 {
+		close(w.idle)
+	}
+}
+
+// Admit runs every slice: the master cancels a job by closing the stream.
+func (w *workerSlabs) Admit(*SimSlab, *Slice) bool { return true }
+
+// AfterSlice observes the slice's quanta and, at the slab's Until,
+// snapshots the engine for the next slab, which may run anywhere. An
+// engine that cannot snapshot keeps the trajectory here to its end. A task
+// whose slab is over becomes a spare.
+func (w *workerSlabs) AfterSlice(s *SimSlab, sl *Slice) {
+	if sl.Quanta > 0 {
+		w.metrics.Quantum.ObserveN(sl.Elapsed/time.Duration(sl.Quanta), sl.Quanta)
+	}
+	if sl.TaskDone {
+		w.metrics.Tasks.Inc()
+	} else if sl.SlabEnd {
+		snap, ok, err := s.Task.Snapshot()
+		switch {
+		case err != nil:
+			sl.Err = err
+			return
+		case !ok:
+			s.Until, sl.SlabEnd = 0, false
+			return
+		}
+		sl.Snap = snap
+	}
+	if sl.SlabEnd {
+		select {
+		case w.spares <- s.Task:
+		default:
+		}
+	}
+}
+
+// Deliver sends the slice home as one ResultMsg; gob copies the samples
+// during Encode, so the batch recycles the moment Send returns.
+func (w *workerSlabs) Deliver(sl Slice) error {
+	if sl.Err != nil {
+		return w.fail(sl.Err)
+	}
+	msg := ResultMsg{
+		Traj: sl.Traj, Start: sl.Start, Snap: sl.Snap,
+		TaskDone: sl.TaskDone, Dead: sl.Dead, Steps: sl.Steps,
+		Quanta: sl.Quanta, ElapsedNs: int64(sl.Elapsed),
+	}
+	if sl.Batch != nil {
+		msg.Samples = sl.Batch.Samples
+	}
+	err := w.out.Send(msg)
+	if sl.Batch != nil {
+		sl.Batch.Release()
+	}
+	if err != nil {
+		return w.fail(err)
+	}
+	w.reactions += sl.Fired
+	if sl.TaskDone {
+		w.tasks++
+		if sl.Dead {
+			w.dead++
+		}
+	}
+	if sl.SlabEnd {
+		w.settle(-1, false)
+	}
+	return nil
+}
+
+// fail ends the connection at its first error; the farm stops with
+// Deliver's.
+func (w *workerSlabs) fail(err error) error {
+	w.err = err
+	close(w.failed)
+	return err
 }

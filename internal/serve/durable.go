@@ -170,6 +170,9 @@ func (s *Server) resumeJob(rec *store.JobRecord) error {
 	job.digest = SpecDigest(spec)
 	job.tenant = recoveredTenant(rec)
 	job.initResume(rec)
+	// Once per job and, as in Submit, before s.mu: a first sighting of the
+	// tenant registers a series under the metrics registry's lock.
+	job.obsTenantQuanta = s.m.tenantQuanta.With(job.tenant)
 
 	// Recovered jobs re-enter admission so the tenant's concurrency cap
 	// holds across restarts: journal order is submission order, so a job

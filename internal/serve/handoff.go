@@ -286,12 +286,16 @@ func (s *Server) rebalanceLoop() {
 		if s.draining.Load() {
 			continue
 		}
-		s.rebalanceOnce()
+		if crashed := s.rebalanceOnce(); crashed {
+			return
+		}
 	}
 }
 
 // rebalanceOnce makes at most one handoff request and adopts its job.
-func (s *Server) rebalanceOnce() {
+// crashed reports the HandoffCrash fault: the requester died, and its loop
+// must end with it.
+func (s *Server) rebalanceOnce() (crashed bool) {
 	mine := len(s.leases.HeldJobs())
 	var busiest *lease.PeerInfo
 	peers := s.livePeers()
@@ -301,13 +305,13 @@ func (s *Server) rebalanceOnce() {
 		}
 	}
 	if busiest == nil || busiest.Jobs-mine < s.opts.RebalanceMargin {
-		return
+		return false
 	}
 	// Pick one job the busiest peer actually still owns from the lease
 	// directory (its heartbeat count may be a beat stale).
 	ls, err := s.leases.List()
 	if err != nil {
-		return
+		return false
 	}
 	job := ""
 	for _, l := range ls {
@@ -317,29 +321,30 @@ func (s *Server) rebalanceOnce() {
 		}
 	}
 	if job == "" {
-		return
+		return false
 	}
 	body, _ := json.Marshal(handoffRequest{To: s.opts.ReplicaID})
 	resp, err := proxyClient.Post(busiest.URL+"/leases/"+job+"/handoff", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return
+		return false
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return // dropped or refused; a later tick retries if still worth it
+		return false // dropped or refused; a later tick retries if still worth it
 	}
 	// The owner has released the lease with a pointer reserved for us.
 	if s.opts.Chaos.Fire(chaos.HandoffCrash) {
 		// Fault point: this requester "dies" between the owner's release
-		// and its own adoption. The targeted reservation parks the lease
-		// for one TTL, then ordinary failover adopts the job — it is
-		// never lost and never double-owned.
-		return
+		// and its own adoption, and requests nothing more. The targeted
+		// reservation parks the lease for one TTL, then ordinary failover
+		// adopts the job — it is never lost and never double-owned.
+		return true
 	}
 	if l, ok, err := s.leases.Get(job); err == nil && ok && s.leases.Stealable(l) {
 		s.takeover(l)
 	}
+	return false
 }
 
 // handleDrain is POST /drain: stop admission and hand every owned job

@@ -126,12 +126,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h["jobs_owned"] = len(s.leases.HeldJobs())
 		h["peers_live"] = len(s.livePeers())
 	}
-	code := http.StatusOK
-	if err := s.pool.Err(); err != nil {
-		h["pool_error"] = err.Error()
-		code = http.StatusInternalServerError
-	}
-	writeJSON(w, code, h)
+	writeJSON(w, http.StatusOK, h)
 }
 
 // handleWorkers lists every known remote sim worker with its liveness,

@@ -59,7 +59,7 @@ type JobSpec struct {
 	End float64 `json:"end"`
 	// Quantum is the simulated time per scheduling step (0 = one period):
 	// the scheduling granularity floor — the pool coalesces cheap quanta
-	// up to a window boundary (see poolWorker).
+	// up to a window boundary (see sliceSteps).
 	Quantum float64 `json:"quantum,omitempty"`
 	// Period is the sampling interval τ.
 	Period float64 `json:"period"`
@@ -219,7 +219,7 @@ type Job struct {
 
 	tenant       string
 	sampleCost   int64
-	flow         *sched.Flow[poolTask]
+	flow         *sched.Flow[core.SimSlab]
 	tenantQuanta *atomic.Int64
 	admission    int
 	queuePos     atomic.Int32
@@ -544,26 +544,28 @@ func (j *Job) setTerminal(st State, errMsg string) {
 	}
 }
 
-// accept routes one delivery into the job — from the pool collector for
+// accept routes one slice into the job — from the pool collector for
 // locally-simulated slabs, and from the scheduler's per-worker readers for
-// slabs simulated on the cluster. It NEVER blocks: the batch lands in the
-// job's bounded ingress queue (or, past the hard bound, spills), so a job
-// whose analysis lags cannot pause delivery to any other job. Deliveries
+// slabs simulated on the cluster (whose slices never carry SlabEnd: the
+// reader returns their heads to the FIFO itself). It NEVER blocks: the
+// batch lands in the job's bounded ingress queue (or, past the hard
+// bound, spills), so a job whose analysis lags cannot pause delivery to
+// any other job. Deliveries
 // of one trajectory arrive in order from whichever single site currently
 // holds its slab, and its final task-done marker arrives after every
 // sample batch, so closing the ingress here is race-free. The scheduler's
 // filter first drops whatever a replayed slab re-simulated below the
 // trajectory's frontier (a requeue, a resume from a checkpoint below the
 // resume cut) and duplicate completion markers, before any accounting.
-func (j *Job) accept(_ context.Context, d delivery) error {
+func (j *Job) accept(d core.Slice) {
 	j.sched.filter(&d)
-	if d.err != nil {
-		j.fail(fmt.Errorf("serve: trajectory simulation: %w", d.err))
+	if d.Err != nil {
+		j.fail(fmt.Errorf("serve: trajectory simulation: %w", d.Err))
 	}
-	if d.batch != nil {
+	if d.Batch != nil {
 		if j.terminal() {
-			d.batch.Release()
-		} else if spilled := j.in.push(d.batch); spilled > 0 {
+			d.Batch.Release()
+		} else if spilled := j.in.push(d.Batch); spilled > 0 {
 			// The overflow ring dropped a batch: cuts can never complete,
 			// so the job cannot finish correctly. Fail it rather than run
 			// a simulation whose analysis silently lost data.
@@ -572,18 +574,18 @@ func (j *Job) accept(_ context.Context, d delivery) error {
 		}
 	}
 	j.mu.Lock()
-	if n := d.quanta; n > 1 {
+	if n := d.Quanta; n > 1 {
 		// A remote slab reports many quanta at once: one observation per
 		// quantum keeps the ETA model's dispersion honest.
-		j.quantum.AddN(d.elapsed.Seconds()/float64(n), int64(n))
-	} else if d.elapsed > 0 {
-		j.quantum.Add(d.elapsed.Seconds())
+		j.quantum.AddN(d.Elapsed.Seconds()/float64(n), int64(n))
+	} else if d.Elapsed > 0 {
+		j.quantum.Add(d.Elapsed.Seconds())
 	}
 	var closeStream bool
-	if d.taskDone {
+	if d.TaskDone {
 		j.tasksDone++
-		j.reactions += d.steps
-		if d.dead {
+		j.reactions += d.Steps
+		if d.Dead {
 			j.deadTasks++
 		}
 		closeStream = j.tasksDone == j.totalTasks
@@ -592,13 +594,12 @@ func (j *Job) accept(_ context.Context, d delivery) error {
 	if closeStream {
 		j.in.close()
 	}
-	if d.slabEnd {
+	if d.SlabEnd {
 		// Only now, with the slab's last samples in the ingress, may the
 		// trajectory's next slab be granted (possibly to another site):
 		// per-trajectory sample order into the windower is preserved.
-		j.sched.localSlabEnd(d.traj)
+		j.sched.localSlabEnd(d.Traj)
 	}
-	return nil
 }
 
 // congested reports whether the job's ingress backlog is over its

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"errors"
-	"time"
 
-	"cwcflow/internal/ff"
 	"cwcflow/internal/lease"
 	"cwcflow/internal/obs"
 	"cwcflow/internal/store"
@@ -226,27 +224,3 @@ func submitOutcomeLabel(res SubmitResult, err error) string {
 		return "invalid"
 	}
 }
-
-// timedQueue decorates the injected pool scheduler queue with the
-// sched-wait histogram: Push stamps the quantum, Pop observes the wait.
-// The stamp rides the poolTask value itself, so out-of-order disciplines
-// (WFQ) measure each quantum's true wait with zero allocations.
-type timedQueue struct {
-	inner ff.TaskQueue[poolTask]
-	wait  *obs.Histogram
-}
-
-func (q *timedQueue) Push(pt poolTask) {
-	pt.enq = time.Now().UnixNano()
-	q.inner.Push(pt)
-}
-
-func (q *timedQueue) Pop() (poolTask, bool) {
-	pt, ok := q.inner.Pop()
-	if ok && pt.enq != 0 {
-		q.wait.Observe(time.Duration(time.Now().UnixNano() - pt.enq))
-	}
-	return pt, ok
-}
-
-func (q *timedQueue) Len() int { return q.inner.Len() }

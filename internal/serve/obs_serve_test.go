@@ -110,33 +110,68 @@ func metricValue(t *testing.T, text, series string) float64 {
 // TestMetricsCountCutSummariesOnceAndQuantaPerQuantum pins the two counts the
 // sliding-window job makes checkable from outside: every cut is summarised
 // exactly once however many windows contain it, and a slice of n cheap
-// quanta is still n quanta to every counter and histogram. (How few trips
-// through the scheduler queue that takes depends on the clock here; the
-// slice tests pin it with the clock out of the way.)
+// quanta is still n quanta to every counter and histogram, the tenant's
+// included, which must agree with GET /tenants. (How few trips through the
+// scheduler queue that takes depends on the clock here; the slice tests
+// pin it with the clock out of the way.) The recovered row finishes the
+// job on a restarted durable server: its quanta count for the tenant too.
 func TestMetricsCountCutSummariesOnceAndQuantaPerQuantum(t *testing.T) {
 	t.Parallel()
-	_, ts := newTestServer(t, 0, serve.Options{Workers: 2, StatEngines: 2})
 	spec := serve.JobSpec{Model: "sir", Omega: 100, Trajectories: 16, End: 12, Period: 0.5,
 		WindowSize: 8, WindowStep: 1, KMeansK: 2, PeriodHalfWin: 1, Seed: 5}
-	st := submitJob(t, ts.URL, spec)
-	waitForState(t, ts.URL, st.ID, serve.StateDone)
-
-	text := fetchMetrics(t, ts.URL)
-	const cuts, windows = 25, 18 // samples at 0, 0.5, …, 12; windows of 8 starting at cuts 0…17
-	if got := metricValue(t, text, "cwc_windows_published_total"); got != windows {
-		t.Fatalf("cwc_windows_published_total = %v, want %d", got, windows)
-	}
-	if got := metricValue(t, text, "cwc_cut_summaries_total"); got != cuts {
-		t.Fatalf("cwc_cut_summaries_total = %v for %d cuts in %d windows of 8, want one per cut", got, cuts, windows)
-	}
-	quanta := metricValue(t, text, `cwc_quanta_total{site="local"}`)
-	if quanta < 16*cuts/2 {
-		t.Fatalf(`cwc_quanta_total{site="local"} = %v, implausibly few for 16 trajectories of %d samples`, quanta, cuts)
-	}
-	for _, series := range []string{`cwc_quantum_seconds_count{site="local"}`, `cwc_tenant_quanta_total{tenant="default"}`} {
-		if got := metricValue(t, text, series); got != quanta {
-			t.Fatalf(`%s = %v, want the %v of cwc_quanta_total{site="local"}`, series, got, quanta)
-		}
+	opts := serve.Options{Workers: 2, StatEngines: 2}
+	for _, tc := range []struct {
+		name string
+		// run takes a job of spec to done and returns the base URL of the
+		// server that finished it.
+		run func(t *testing.T) string
+		// whole says that server ran the whole job, every window and cut.
+		whole bool
+	}{
+		{"fresh", func(t *testing.T) string {
+			_, ts := newTestServer(t, 0, opts)
+			st := submitJob(t, ts.URL, spec)
+			waitForState(t, ts.URL, st.ID, serve.StateDone)
+			return ts.URL
+		}, true},
+		{"recovered", func(t *testing.T) string {
+			dir := t.TempDir()
+			slow := opts
+			slow.Resolver = throttledResolver(200 * time.Microsecond)
+			svc, base := newDurableServer(t, dir, slow)
+			st := submitJob(t, base, spec)
+			waitWindows(t, base, st.ID, 2)
+			svc.Close()
+			_, base = newDurableServer(t, dir, opts)
+			waitForState(t, base, st.ID, serve.StateDone)
+			return base
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.run(t)
+			text := fetchMetrics(t, base)
+			const cuts, windows = 25, 18 // samples at 0, 0.5, …, 12; windows of 8 starting at cuts 0…17
+			if tc.whole {
+				if got := metricValue(t, text, "cwc_windows_published_total"); got != windows {
+					t.Fatalf("cwc_windows_published_total = %v, want %d", got, windows)
+				}
+				if got := metricValue(t, text, "cwc_cut_summaries_total"); got != cuts {
+					t.Fatalf("cwc_cut_summaries_total = %v for %d cuts in %d windows of 8, want one per cut", got, cuts, windows)
+				}
+			}
+			quanta := metricValue(t, text, `cwc_quanta_total{site="local"}`)
+			if tc.whole && quanta < 16*cuts/2 {
+				t.Fatalf(`cwc_quanta_total{site="local"} = %v, implausibly few for 16 trajectories of %d samples`, quanta, cuts)
+			}
+			for _, series := range []string{`cwc_quantum_seconds_count{site="local"}`, `cwc_tenant_quanta_total{tenant="default"}`} {
+				if got := metricValue(t, text, series); got != quanta {
+					t.Fatalf(`%s = %v, want the %v of cwc_quanta_total{site="local"}`, series, got, quanta)
+				}
+			}
+			if got := getTenants(t, base)["default"].Quanta; float64(got) != quanta {
+				t.Fatalf(`GET /tenants counts %d quanta for tenant default, /metrics %v`, got, quanta)
+			}
+		})
 	}
 }
 

@@ -199,17 +199,17 @@ func (rj *slabSched) deliver(wc *workerConn, msg core.ResultMsg) error {
 	}
 	rj.mu.Unlock()
 
-	d := delivery{
-		job:      rj.job,
-		traj:     msg.Traj,
-		elapsed:  time.Duration(msg.ElapsedNs),
-		quanta:   msg.Quanta,
-		taskDone: msg.TaskDone,
-		dead:     msg.Dead,
-		steps:    msg.Steps,
+	d := core.Slice{
+		Traj:     msg.Traj,
+		Start:    msg.Start,
+		Elapsed:  time.Duration(msg.ElapsedNs),
+		Quanta:   msg.Quanta,
+		TaskDone: msg.TaskDone,
+		Dead:     msg.Dead,
+		Steps:    msg.Steps,
 	}
 	if len(msg.Samples) > 0 {
-		d.batch = sim.BatchOf(msg.Samples)
+		d.Batch = sim.BatchOf(msg.Samples)
 	}
 	// Remote quanta count toward the owning tenant's dispatched-quanta
 	// observable just like local ones (GET /tenants); only the local
@@ -220,12 +220,12 @@ func (rj *slabSched) deliver(wc *workerConn, msg core.ResultMsg) error {
 		if rj.job.tenantQuanta != nil {
 			rj.job.tenantQuanta.Add(int64(n))
 		}
-		rj.job.metrics.remoteQuantum.ObserveN(d.elapsed/time.Duration(n), n)
+		rj.job.metrics.remoteQuantum.ObserveN(d.Elapsed/time.Duration(n), n)
 		rj.job.metrics.quantaRemote.Add(uint64(n))
 		wc.quanta.Add(uint64(n))
 		rj.job.obsTenantQuanta.Add(uint64(n))
 	}
-	_ = rj.job.accept(rj.job.ctx, d)
+	rj.job.accept(d)
 
 	// Round trip: grant (or the slab's previous message) to this delivery —
 	// worker queueing and compute plus both wire legs.

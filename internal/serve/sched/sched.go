@@ -1,7 +1,7 @@
-// Package sched provides pluggable quantum-dispatch queues for the serve
-// pool. A Scheduler orders the pending simulation quanta of every admitted
-// job; the pool's dispatcher pushes each runnable quantum exactly once and
-// pops the next quantum to hand to an idle worker.
+// Package sched provides pluggable slice-dispatch queues for the serve
+// pool. A Scheduler orders the pending slabs of every admitted job; the
+// pool's dispatcher pushes each runnable slab once per slice and pops the
+// next one to hand to an idle worker.
 //
 // Two disciplines are provided: FIFO (the historical behaviour — global
 // arrival order) and WFQ (start-time fair queueing across tenant flows).
@@ -18,8 +18,8 @@ package sched
 
 // Scheduler is a pending-quantum queue. Push enqueues a runnable item, Pop
 // dequeues the next item to dispatch (ok=false when empty), Len reports the
-// number of queued items. The interface matches ff.TaskQueue structurally
-// so a Scheduler can drive a feedback farm's dispatcher directly.
+// number of queued items. A Scheduler of core.SimSlab is a core.TaskQueue,
+// so it drives the simulation farm's dispatcher directly.
 type Scheduler[T any] interface {
 	Push(T)
 	Pop() (T, bool)

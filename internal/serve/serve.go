@@ -2,11 +2,11 @@
 // long-running, concurrent job service — the first step of the roadmap's
 // multi-user serving story.
 //
-// One service instance owns a single shared simulation worker pool (a
-// long-lived ff feedback farm, see Pool) and a single shared farm of
-// statistical engines (core.StatFarm), sized independently. Each submitted
-// job contributes quantum-sized trajectory tasks to the pool; on-demand
-// scheduling interleaves every job's tasks, so many jobs progress
+// One service instance owns a single shared simulation pool (a
+// long-lived core.SimFarm) and a single shared farm of statistical engines
+// (core.StatFarm), sized independently. Each submitted job's slab
+// scheduler injects its trajectories' slabs into the pool; on-demand
+// scheduling interleaves every job's slices, so many jobs progress
 // concurrently on a fixed set of workers with no per-job goroutine
 // explosion: the service runs O(pool workers + stat engines + active jobs)
 // goroutines in total. Per job, one windower goroutine drains batched
@@ -54,7 +54,6 @@ import (
 
 	"cwcflow/internal/chaos"
 	"cwcflow/internal/core"
-	"cwcflow/internal/ff"
 	"cwcflow/internal/lease"
 	"cwcflow/internal/obs"
 	"cwcflow/internal/serve/sched"
@@ -364,15 +363,15 @@ func (o Options) withDefaults() Options {
 // them.
 type Server struct {
 	opts     Options
-	pool     *Pool
+	pool     *core.SimFarm
 	stats    *core.StatFarm
 	registry *registry
 	store    *store.Store         // nil when durability is disabled
 	leases   *lease.Manager       // nil unless ReplicaID is set (replicated tier)
 	peers    *lease.PeerDirectory // nil unless ReplicaID is set
 	mux      *http.ServeMux
-	wfq      *sched.WFQ[poolTask] // non-nil iff Options.Scheduler == "wfq"
-	m        *serveMetrics        // always non-nil (== opts.metrics)
+	wfq      *sched.WFQ[core.SimSlab] // non-nil iff Options.Scheduler == "wfq"
+	m        *serveMetrics            // always non-nil (== opts.metrics)
 
 	// draining flips once (Drain) and never back: admission is refused
 	// with ErrDraining, the failover and rebalance loops stand down, and
@@ -441,17 +440,17 @@ func New(opts Options) (*Server, error) {
 		s.cache = store.NewCache(opts.CacheMaxEntries)
 		s.inflightDigest = make(map[string]*Job)
 	}
-	var queue ff.TaskQueue[poolTask]
+	var queue core.TaskQueue
 	switch opts.Scheduler {
 	case "fifo":
-		queue = sched.NewFIFO[poolTask]()
+		queue = sched.NewFIFO[core.SimSlab]()
 	case "wfq":
-		var fallback *sched.Flow[poolTask]
-		s.wfq = sched.NewWFQ(func(pt poolTask) *sched.Flow[poolTask] {
-			if f := pt.job.flow; f != nil {
+		var fallback *sched.Flow[core.SimSlab]
+		s.wfq = sched.NewWFQ(func(sl core.SimSlab) *sched.Flow[core.SimSlab] {
+			if f := sl.Owner.(*slabSched).job.flow; f != nil {
 				return f
 			}
-			return fallback // flow-less task (defensive; should not happen)
+			return fallback // flow-less job (defensive; should not happen)
 		})
 		fallback = s.wfq.NewFlow("(unclassified)", 1)
 		queue = s.wfq
@@ -459,10 +458,7 @@ func New(opts Options) (*Server, error) {
 		s.stats.Close()
 		return nil, fmt.Errorf("serve: unknown scheduler %q (want fifo or wfq)", opts.Scheduler)
 	}
-	// The sched-wait decorator stamps quanta on push and observes the
-	// queue wait on pop, under either discipline.
-	queue = &timedQueue{inner: queue, wait: m.schedWait}
-	s.pool = NewPool(opts.Workers, opts.QueueDepth, queue)
+	s.pool = core.NewSimFarm(opts.Workers, opts.QueueDepth, queue, core.SliceBudget{Steps: sliceSteps, Time: sliceTime})
 	s.routes()
 	if opts.ReplicaID != "" && opts.DataDir == "" {
 		s.pool.Close()

@@ -207,25 +207,25 @@ func (rj *slabSched) start() error {
 // and squashes duplicate completion markers, so the windower sees each
 // sample and each completion exactly once however many times a slab was
 // (re)started.
-func (rj *slabSched) filter(d *delivery) {
+func (rj *slabSched) filter(d *core.Slice) {
 	rj.mu.Lock()
 	defer rj.mu.Unlock()
-	h := &rj.heads[d.traj]
+	h := &rj.heads[d.Traj]
 	round, start := h.nextIdx/rj.window, h.nextIdx
-	if b := d.batch; b != nil {
+	if b := d.Batch; b != nil {
 		if skip := start - b.Samples[0].Index; h.done || skip < 0 || skip >= len(b.Samples) {
 			b.Release()
-			d.batch = nil
+			d.Batch = nil
 		} else {
 			b.Samples = b.Samples[:copy(b.Samples, b.Samples[skip:])]
 			h.nextIdx += len(b.Samples)
 		}
 	}
 	if h.done {
-		d.taskDone, d.dead, d.steps = false, false, 0
+		d.TaskDone, d.Dead, d.Steps = false, false, 0
 		return
 	}
-	if d.taskDone {
+	if d.TaskDone {
 		h.done = true
 		h.task, h.snap = nil, nil
 		if rj.doneCount++; rj.doneCount == len(rj.heads) {
@@ -253,7 +253,7 @@ func (rj *slabSched) filter(d *delivery) {
 		}
 	}
 	if rj.hook != nil && (h.nextIdx > start || h.done) {
-		rj.hook(slabEvent{kind: "accept", traj: d.traj, start: start, end: h.nextIdx, done: h.done})
+		rj.hook(slabEvent{kind: "accept", traj: d.Traj, start: start, end: h.nextIdx, done: h.done})
 	}
 }
 
@@ -289,6 +289,78 @@ func (rj *slabSched) extend(traj, next int) (until int) {
 		rj.hook(slabEvent{kind: "grant", traj: traj, start: next, end: until})
 	}
 	return until
+}
+
+// The local pool is one core.SimFarm shared by every job: each job's
+// scheduler injects its granted local slabs, and the slices of all jobs
+// interleave on its workers, so a newly started job receives service
+// within one slice of the running ones. A slice is bounded by a fixed
+// amount of work, so that cheap quanta share the fixed cost of a trip
+// through the dispatcher and the collector while an expensive quantum
+// still leaves after one: sliceSteps SSA steps (128 direct-method steps
+// are about 8 µs) or sliceTime on the worker, whichever is spent first.
+// The step count ends the slices of the built-in engines at the same
+// quantum on every run; the clock bounds an engine whose steps are few and
+// dear or not counted at all. Both sit below one neurospora quantum
+// (≈ 290 steps, ≈ 25 µs): a longer budget would coalesce those too, and a
+// newcomer's first window waits behind every slice queued ahead of it.
+// The fair queue across tenants hands out dispatch slots, and a slot is
+// one slice.
+const (
+	sliceSteps = 128
+	sliceTime  = 10 * time.Microsecond
+)
+
+// Admit ends a local slab unrun when its job went terminal — reporting the
+// trajectory complete, so the job's accounting and sample stream stay
+// consistent — or when the job's ingress is congested. A congested slab
+// leaves the farm at no worker time: its head waits in the FIFO, which
+// grants nothing while the job is congested, until the windower drains
+// below the low-water mark and kicks it. There is no point simulating
+// faster than a job can analyse, and the pool's capacity flows to the
+// tenants that can absorb results.
+func (rj *slabSched) Admit(_ *core.SimSlab, sl *core.Slice) bool {
+	job := rj.job
+	job.metrics.schedWait.Observe(sl.Wait)
+	if job.terminal() {
+		sl.TaskDone = true
+		return false
+	}
+	if job.congested() {
+		job.noteDeferred()
+		return false
+	}
+	return true
+}
+
+// AfterSlice checkpoints the task at the slice boundary when the job is
+// durable (rate-limited per trajectory inside), counts the slice's quanta
+// per quantum, as for a remote slab, and extends a slab that reached its
+// until (see extend).
+func (rj *slabSched) AfterSlice(s *core.SimSlab, sl *core.Slice) {
+	job := rj.job
+	if job.persist != nil {
+		job.maybeCheckpoint(s.Task)
+	}
+	if n := sl.Quanta; n > 0 {
+		if job.tenantQuanta != nil {
+			job.tenantQuanta.Add(int64(n))
+		}
+		job.metrics.localQuantum.ObserveN(sl.Elapsed/time.Duration(n), n)
+		job.metrics.quantaLocal.Add(uint64(n))
+		job.obsTenantQuanta.Add(uint64(n))
+	}
+	if sl.SlabEnd && !sl.TaskDone {
+		if until := rj.extend(s.Task.Traj, s.Task.NextIndex()); until > 0 {
+			s.Until, sl.SlabEnd = until, false
+		}
+	}
+}
+
+// Deliver routes a local slice into the job, on the pool's collector.
+func (rj *slabSched) Deliver(sl core.Slice) error {
+	rj.job.accept(sl)
+	return nil
 }
 
 // grantLocked hands idle trajectories their next slab while a site has
@@ -389,7 +461,7 @@ func (rj *slabSched) runLocal(slabs []localSlab) {
 			}
 			h.task, h.snap = task, nil
 		}
-		rj.srv.pool.inject(poolTask{job: rj.job, task: h.task, until: ls.until})
+		rj.srv.pool.Inject(core.SimSlab{Owner: rj, Task: h.task, Until: ls.until, Window: rj.window})
 	}
 }
 
@@ -398,15 +470,12 @@ func (rj *slabSched) runLocal(slabs []localSlab) {
 // incompatible build) is not fatal: the trajectory replays from its seed,
 // and filter drops the replayed prefix below its frontier.
 func (rj *slabSched) build(traj int, snap []byte) (*sim.Task, error) {
-	task, err := core.NewTrajectoryTask(rj.job.cfg, traj)
-	if err != nil || snap == nil {
+	task, err := core.BuildTask(rj.job.cfg, traj, snap, nil)
+	if err == nil || snap == nil {
 		return task, err
 	}
-	if err := task.Restore(snap); err != nil {
-		rj.job.trace.Event("restore-fallback", rj.job.origin, fmt.Sprintf("trajectory %d replays from its seed: %v", traj, err))
-		return core.NewTrajectoryTask(rj.job.cfg, traj)
-	}
-	return task, nil
+	rj.job.trace.Event("restore-fallback", rj.job.origin, fmt.Sprintf("trajectory %d replays from its seed: %v", traj, err))
+	return core.NewTrajectoryTask(rj.job.cfg, traj)
 }
 
 // kick re-runs granting and wakes readers blocked on congestion — the

@@ -30,7 +30,7 @@ type countedTickSim struct{ tickSim }
 func (s *countedTickSim) Steps() uint64 { return s.steps }
 
 // sliceJob builds a job the way Submit would, on a server of its own, but
-// neither registers nor starts it: the test drives poolWorker by hand.
+// neither registers nor starts it: the test drives core.RunSlice by hand.
 func sliceJob(t *testing.T, factory core.SimulatorFactory, trajectories int, end, period float64, windowSize int) *Job {
 	t.Helper()
 	cfg, err := core.Config{
@@ -76,7 +76,7 @@ type slice struct {
 // spent, so where a slice ends does not depend on how fast the test ran.
 const noClock = time.Hour
 
-// runSlices drives one task through poolWorker, with the given time budget,
+// runSlices drives one task through core.RunSlice, with the given time budget,
 // until it leaves the farm, releasing every batch, and returns its
 // deliveries. before, when non-nil, runs ahead of every slice.
 func runSlices(t *testing.T, job *Job, traj, until int, maxTime time.Duration, before func(n int) (stop bool)) (out []slice, samples []sim.Sample) {
@@ -85,32 +85,31 @@ func runSlices(t *testing.T, job *Job, traj, until int, maxTime time.Duration, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	emit := func(d delivery) error {
-		s := slice{first: -1, last: -1, quanta: d.quanta, slabEnd: d.slabEnd, taskDone: d.taskDone}
-		if d.err != nil {
-			t.Fatalf("trajectory %d: %v", traj, d.err)
+	emit := func(d core.Slice) {
+		s := slice{first: -1, last: -1, quanta: d.Quanta, slabEnd: d.SlabEnd, taskDone: d.TaskDone}
+		if d.Err != nil {
+			t.Fatalf("trajectory %d: %v", traj, d.Err)
 		}
-		if d.batch != nil {
-			s.samples = len(d.batch.Samples)
-			s.first, s.last = d.batch.Samples[0].Index, d.batch.Samples[s.samples-1].Index
-			for _, smp := range d.batch.Samples {
+		if d.Batch != nil {
+			s.samples = len(d.Batch.Samples)
+			s.first, s.last = d.Batch.Samples[0].Index, d.Batch.Samples[s.samples-1].Index
+			for _, smp := range d.Batch.Samples {
 				smp.State = append([]int64(nil), smp.State...)
 				samples = append(samples, smp)
 			}
-			d.batch.Release()
+			d.Batch.Release()
 		}
 		out = append(out, s)
-		return nil
 	}
 	for n := 0; ; n++ {
 		if before != nil && before(n) {
 			return out, samples
 		}
-		again, err := poolWorker(&poolTask{job: job, task: task, until: until}, emit, maxTime)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !again {
+		var d core.Slice
+		core.RunSlice(&core.SimSlab{Owner: job.sched, Task: task, Until: until, Window: job.cfg.WindowSize},
+			&d, core.SliceBudget{Steps: sliceSteps, Time: maxTime})
+		emit(d)
+		if d.SlabEnd {
 			return out, samples
 		}
 	}
@@ -304,7 +303,7 @@ func TestSliceHonoursUntilAndCongestion(t *testing.T) {
 // slice, push back.
 func TestWFQSlicesSplitQuantaBetweenEqualTenants(t *testing.T) {
 	var quanta [2]atomic.Int64
-	wfq := sched.NewWFQ(func(pt poolTask) *sched.Flow[poolTask] { return pt.job.flow })
+	wfq := sched.NewWFQ(func(sl core.SimSlab) *sched.Flow[core.SimSlab] { return sl.Owner.(*slabSched).job.flow })
 	var jobs [2]*Job
 	for i := range jobs {
 		jobs[i] = sliceJob(t, builtin(t, "sir"), 16, 5, 0.05, 16)
@@ -316,25 +315,23 @@ func TestWFQSlicesSplitQuantaBetweenEqualTenants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wfq.Push(poolTask{job: jobs[i], task: task})
+			wfq.Push(core.SimSlab{Owner: jobs[i].sched, Task: task, Window: jobs[i].cfg.WindowSize})
 		}
 	}
-	drop := func(d delivery) error {
-		if d.batch != nil {
-			d.batch.Release()
+	drop := func(d core.Slice) {
+		if d.Batch != nil {
+			d.Batch.Release()
 		}
-		return nil
 	}
 	for slots := 1; ; slots++ {
 		pt, ok := wfq.Pop()
 		if !ok {
 			t.Fatal("queue ran dry before either job finished")
 		}
-		again, err := poolWorker(&pt, drop, noClock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !again {
+		var d core.Slice
+		core.RunSlice(&pt, &d, core.SliceBudget{Steps: sliceSteps, Time: noClock})
+		drop(d)
+		if d.SlabEnd {
 			break // the first trajectory finished: the backlog stops being standing
 		}
 		wfq.Push(pt)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cwcflow/internal/core"
 	"cwcflow/internal/serve/sched"
 )
 
@@ -44,7 +45,7 @@ type TenantConfig struct {
 type tenantState struct {
 	name string
 	cfg  TenantConfig
-	flow *sched.Flow[poolTask] // wfq scheduler only, nil under fifo
+	flow *sched.Flow[core.SimSlab] // wfq scheduler only, nil under fifo
 
 	active     int    // running (admitted, non-terminal, non-queued) jobs
 	queued     []*Job // admission queue: priority class desc, then submit order

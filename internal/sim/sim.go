@@ -307,11 +307,12 @@ func (t *Task) RunQuantum(emit func(Sample) error) error {
 // RunQuantum, but gathers the quantum's samples into b — every state
 // copied into the batch's shared arena, so the whole quantum costs at most
 // one allocation (none once the arena has grown to the quantum's sample
-// count). This is the batching entry point used by streaming consumers
-// that ship one message per quantum rather than one per sample — the
-// shared-memory pipeline's simulation farm and the job service's worker
-// pool both route a quantum's samples through their collector in a single
-// hop and recycle the batch afterwards.
+// count). This is the batching entry point of core.RunSlice, the slice
+// loop of the simulation farm that core.Run, the job service's pool and
+// every sim worker run: a slice gathers one or more quanta of a
+// trajectory into one batch, which crosses the farm's collector in a
+// single hop and is recycled afterwards. RunGPU's launch loop calls it
+// once per kernel item.
 //
 // The emitted samples alias the batch arena, never the task's scratch
 // state: they stay valid (and mutually independent) until the batch is
